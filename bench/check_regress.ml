@@ -16,8 +16,7 @@
 
 module J = Fg_obs.Json
 
-let gated_groups =
-  [ "/heal."; "/dist."; "/csr."; "/obs."; "/bfs."; "/serve."; "/shard." ]
+let gated_groups = [ "/heal."; "/dist."; "/csr."; "/obs."; "/bfs."; "/serve." ]
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in

@@ -437,71 +437,6 @@ let serve_bench_scale ~n =
     row "p99" (float_of_int (Fg_obs.Hdr.p99 r.Fg_serve.Loadgen.overall));
   ]
 
-(* ---- one-shot sharded heal throughput (--shard-scale N[,N...]) ----
-
-   The sharded round engine healing one fixed victim schedule at
-   K in {1,2,4,8} shards over the same N-node BA graph (m = 2: average
-   degree ~4 like the ER fixtures, but O(n) to generate — the pairwise
-   ER sampler is O(n^2), prohibitive at the 1M-node point). The schedule is
-   a shuffled prefix of the original node ids chunked into rounds —
-   originals stay live until their own deletion, so every round's
-   victims are valid regardless of what the heals created — and it is
-   byte-identical across K, so each K's final graph must equal K=1's
-   (the owner-ordered merge guarantee); the run aborts if it doesn't.
-   Rows are ns per healed victim. On a single-core host the curve is
-   flat; the per-victim cost still gates the coordination overhead. *)
-let shard_scale ~n =
-  let shard_counts = [ 1; 2; 4; 8 ] in
-  let round = 64 in
-  let goal = max 1 (n / 16) in
-  Printf.printf
-    "\nshard-scale: n=%d, %d victims in rounds of %d, shards in {1,2,4,8}\n%!"
-    n goal round;
-  let build () =
-    let rng = Fg_graph.Rng.create 23 in
-    Fg_graph.Generators.barabasi_albert rng n 2
-  in
-  let schedule =
-    let vrng = Fg_graph.Rng.create 29 in
-    let ids = Fg_graph.Rng.sample vrng goal (Array.init n (fun i -> i)) in
-    let rec chunk i acc =
-      if i >= goal then List.rev acc
-      else
-        let len = min round (goal - i) in
-        chunk (i + len) (Array.to_list (Array.sub ids i len) :: acc)
-    in
-    chunk 0 []
-  in
-  let reference = ref None in
-  List.map
-    (fun k ->
-      let eng = Fg_shard.Shard_engine.create ~shards:k (build ()) in
-      let name =
-        Printf.sprintf "forgiving-graph/shard.heal-throughput/k%d:%d" k n
-      in
-      let w0 = Gc.minor_words () in
-      let t0 = Fg_obs.Trace.wall_clock () in
-      List.iter (fun vs -> Fg_shard.Shard_engine.delete_round eng vs) schedule;
-      let ns = (Fg_obs.Trace.wall_clock () -. t0) *. 1e9 in
-      let words = Gc.minor_words () -. w0 in
-      let per_victim = ns /. float_of_int goal in
-      Printf.printf "%-42s  %14.1f  %14.1f\n%!" name per_victim
-        (words /. float_of_int goal);
-      let fg = Fg_shard.Shard_engine.fg eng in
-      let g = Fg_core.Forgiving_graph.graph fg
-      and gp = Fg_core.Forgiving_graph.gprime fg in
-      (match !reference with
-      | None -> reference := Some (g, gp)
-      | Some (rg, rgp) ->
-        if not (Fg_graph.Adjacency.equal rg g && Fg_graph.Adjacency.equal rgp gp)
-        then begin
-          Printf.eprintf "shard-scale: K=%d final state differs from K=1\n" k;
-          exit 1
-        end);
-      Fg_graph.Parallel.shutdown ();
-      (name, per_victim, words /. float_of_int goal))
-    shard_counts
-
 (* Append this run to a JSON history file so perf numbers can be diffed
    across commits: {"runs":[{"label":...,"results":[{"name","ns","minor_words"}]}]}.
    An existing file is read back and extended; a fresh one is created. *)
@@ -552,7 +487,6 @@ let () =
   and quota = ref 0.25
   and scale = ref None
   and serve_n = ref None
-  and shard_ns = ref []
   and scale_domains = ref 1 in
   let rec parse = function
     | "--json" :: file :: rest ->
@@ -593,28 +527,14 @@ let () =
       | _ ->
         Printf.eprintf "--serve-bench requires a positive node count\n";
         exit 2)
-    | "--shard-scale" :: ns :: rest -> (
-      let parts = String.split_on_char ',' ns in
-      let parsed = List.filter_map int_of_string_opt parts in
-      match parsed with
-      | _ :: _
-        when List.length parsed = List.length parts
-             && List.for_all (fun n -> n > 0) parsed ->
-        shard_ns := parsed;
-        parse rest
-      | _ ->
-        Printf.eprintf
-          "--shard-scale requires comma-separated positive node counts\n";
-        exit 2)
     | [ ("--json" | "--label" | "--quota" | "--stretch-scale" | "--serve-bench"
-        | "--shard-scale" | "--domains") as flag ] ->
+        | "--domains") as flag ] ->
       Printf.eprintf "%s requires an argument\n" flag;
       exit 2
     | a :: _ ->
       Printf.eprintf
         "unknown argument %S (try --json FILE [--label NAME] [--quota SECONDS] \
-         [--stretch-scale N [--domains D]] [--serve-bench N] \
-         [--shard-scale N[,N...]])\n"
+         [--stretch-scale N [--domains D]] [--serve-bench N])\n"
         a;
       exit 2
     | [] -> ()
@@ -662,9 +582,6 @@ let () =
   in
   let rows =
     match !serve_n with None -> rows | Some n -> rows @ serve_bench_scale ~n
-  in
-  let rows =
-    rows @ List.concat_map (fun n -> shard_scale ~n) !shard_ns
   in
   match !json_file with
   | None -> ()

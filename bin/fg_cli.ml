@@ -60,40 +60,6 @@ let domains_arg =
 let with_obs trace metrics domains f =
   Fg_harness.Exp_common.with_observability ?trace ~metrics ~domains f
 
-let shards_arg =
-  let doc =
-    "Run deletions through the sharded heal engine with $(docv) shards \
-     (domain-per-shard; results are byte-identical for any value). 0 \
-     (default) keeps the flat single-engine path."
-  in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"K" ~doc)
-
-let round_arg =
-  let doc =
-    "Victims deleted simultaneously per sharded round (only with \
-     $(b,--shards))."
-  in
-  Arg.(value & opt int 1 & info [ "round" ] ~docv:"R" ~doc)
-
-(* Healer-shaped view of a sharded engine, so the adversary strategies
-   (which are written against {!Fg_baselines.Healer.t}) can pick a whole
-   round of victims against the pre-round topology: picks accumulate in
-   [picked] and the shim presents them as already dead. *)
-let sharded_shim eng picked =
-  let fg = Fg_shard.Shard_engine.fg eng in
-  {
-    Fg_baselines.Healer.name = "fg";
-    insert = (fun v nbrs -> Fg_shard.Shard_engine.insert eng v nbrs);
-    delete = (fun v -> Fg_shard.Shard_engine.delete eng v);
-    graph = (fun () -> Fg.graph fg);
-    gprime = (fun () -> Fg.gprime fg);
-    live_nodes =
-      (fun () ->
-        List.filter (fun v -> not (Hashtbl.mem picked v)) (Fg.live_nodes fg));
-    is_alive = (fun v -> Fg.is_alive fg v && not (Hashtbl.mem picked v));
-    init_messages = 0;
-  }
-
 let metrics_every_arg =
   let doc =
     "Dump the metrics registry in OpenMetrics exposition format every \
@@ -158,54 +124,8 @@ let generate_cmd =
 
 (* ---- attack ---- *)
 
-(* Sharded attack driver: round-deletes of up to [round] victims through
-   {!Fg_shard.Shard_engine}. The report block is byte-identical for any
-   shard count (CI diffs --shards 1 against --shards 2). *)
-let attack_sharded ~family ~seed ~n ~adversary:del ~fraction ~paranoid ~shards ~round
-    ~tick =
-  let g0 = make_graph family seed n in
-  let eng = Fg_shard.Shard_engine.create ~shards g0 in
-  let fg = Fg_shard.Shard_engine.fg eng in
-  let rng = Fg_graph.Rng.create (seed + 1) in
-  let goal = int_of_float (fraction *. float_of_int n) in
-  let deleted = ref 0 in
-  let continue = ref true in
-  while !continue && !deleted < goal do
-    (* pick the whole round against the pre-round topology *)
-    let picked = Hashtbl.create 8 in
-    let shim = sharded_shim eng picked in
-    let nv = min round (goal - !deleted) in
-    let victims = ref [] in
-    for _ = 1 to nv do
-      match Fg_adversary.Adversary.pick_victim del rng shim with
-      | Some v ->
-        Hashtbl.replace picked v ();
-        victims := v :: !victims
-      | None -> continue := false
-    done;
-    match List.rev !victims with
-    | [] -> continue := false
-    | victims ->
-      if paranoid then begin
-        let delta, _ = Fg_shard.Shard_engine.delete_round_delta eng victims in
-        let errs =
-          Fg_core.Invariants.check_delta fg delta
-          @ Fg_shard.Shard_check.check_round fg ~delta
-              ~info:(Fg_shard.Shard_engine.last_round eng)
-        in
-        if errs <> [] then begin
-          List.iter (Printf.eprintf "paranoid: sharded round violated: %s\n") errs;
-          exit 1
-        end
-      end
-      else Fg_shard.Shard_engine.delete_round eng victims;
-      deleted := !deleted + List.length victims;
-      tick ()
-  done;
-  (fg, !deleted)
-
 let attack family seed n healer adversary fraction paranoid trace metrics domains
-    metrics_every metrics_out shards round =
+    metrics_every metrics_out =
   with_obs trace (metrics || metrics_every > 0) domains @@ fun () ->
   let del =
     try Fg_adversary.Adversary.deletion_of_name adversary
@@ -214,32 +134,6 @@ let attack family seed n healer adversary fraction paranoid trace metrics domain
         (String.concat ", " Fg_adversary.Adversary.deletion_names);
       exit 2
   in
-  if shards > 0 then begin
-    if healer <> "fg" then begin
-      Printf.eprintf "--shards runs the \"fg\" healer only (got %S)\n" healer;
-      exit 2
-    end;
-    let tick, finish_dumps =
-      periodic_dumper ~every:metrics_every ~out:metrics_out ()
-    in
-    let fg, deleted =
-      attack_sharded ~family ~seed ~n ~adversary:del ~fraction ~paranoid ~shards
-        ~round ~tick
-    in
-    finish_dumps ();
-    let live = Fg.live_nodes fg in
-    let graph = Fg.graph fg in
-    let gprime = Fg.gprime fg in
-    let deg = Fg_metrics.Degree_metric.measure ~graph ~gprime ~nodes:live in
-    let str = Fg_metrics.Stretch.exact ~graph ~reference:gprime live in
-    Format.printf "healer %s on %s(n=%d), adversary %s, deleted %d nodes@." healer
-      family n adversary deleted;
-    Format.printf "degree:  %a@." Fg_metrics.Degree_metric.pp_report deg;
-    Format.printf "stretch: %a@." Fg_metrics.Stretch.pp_report str;
-    Format.printf "bound ceil(log2 n_seen) = %d@."
-      (Fg_harness.Exp_common.ceil_log2 (Adjacency.num_nodes gprime))
-  end
-  else begin
   let g0 = make_graph family seed n in
   let h =
     if paranoid then begin
@@ -301,7 +195,6 @@ let attack family seed n healer adversary fraction paranoid trace metrics domain
   Format.printf "stretch: %a@." Fg_metrics.Stretch.pp_report str;
   Format.printf "bound ceil(log2 n_seen) = %d@."
     (Fg_harness.Exp_common.ceil_log2 (Adjacency.num_nodes gprime))
-  end
 
 let attack_cmd =
   let healer =
@@ -337,49 +230,17 @@ let attack_cmd =
     Term.(
       const attack $ family_arg $ seed_arg $ n_arg $ healer $ adversary $ fraction
       $ paranoid $ trace_arg $ metrics_arg $ domains_arg $ metrics_every_arg
-      $ metrics_out_arg $ shards_arg $ round_arg)
+      $ metrics_out_arg)
 
 (* ---- simulate ---- *)
 
 let simulate family seed n deletions distributed trace metrics domains
-    metrics_every metrics_out shards round =
+    metrics_every metrics_out =
   with_obs trace (metrics || metrics_every > 0) domains @@ fun () ->
   let g0 = make_graph family seed n in
   let rng = Fg_graph.Rng.create (seed + 1) in
   let tick, finish_dumps = periodic_dumper ~every:metrics_every ~out:metrics_out () in
-  if shards > 0 then begin
-    (* sharded rounds; each heal trace replays through the per-processor
-       protocol for its message/round cost *)
-    let eng = Fg_shard.Shard_engine.create ~shards g0 in
-    let fg = Fg_shard.Shard_engine.fg eng in
-    let stats = ref [] in
-    let count = ref 0 in
-    while !count < deletions do
-      let live = Fg.live_nodes fg in
-      let nv = min round (min (deletions - !count) (List.length live - 2)) in
-      if nv <= 0 then count := deletions
-      else begin
-        let victims =
-          Array.to_list (Fg_graph.Rng.sample rng nv (Array.of_list live))
-        in
-        let traces = Fg_shard.Shard_engine.delete_round_traced eng victims in
-        let n_seen = Fg.num_seen fg in
-        List.iter
-          (fun tr ->
-            let s = Fg_sim.Protocol.replay ~trace:tr ~n_seen in
-            Format.printf "%a@." Fg_sim.Netsim.pp_stats s;
-            stats := s :: !stats)
-          traces;
-        count := !count + nv;
-        tick ()
-      end
-    done;
-    finish_dumps ();
-    Format.printf "@.%d sharded rounds over %d shards, %d repair groups@."
-      (Fg_shard.Shard_engine.rounds eng)
-      shards (List.length !stats)
-  end
-  else if distributed then begin
+  if distributed then begin
     (* full per-processor protocol, verified after every repair *)
     let eng = Fg_sim.Dist_engine.create g0 in
     let count = ref 0 in
@@ -441,7 +302,7 @@ let simulate_cmd =
     Term.(
       const simulate $ family_arg $ seed_arg $ n_arg $ deletions $ distributed
       $ trace_arg $ metrics_arg $ domains_arg $ metrics_every_arg
-      $ metrics_out_arg $ shards_arg $ round_arg)
+      $ metrics_out_arg)
 
 (* ---- heal ---- *)
 
@@ -564,7 +425,7 @@ let stretch_cmd =
 (* ---- serve-bench ---- *)
 
 let serve_bench family seed n readers duration churn_rate sample_pairs mix_s metrics_out trace
-    metrics shards =
+    metrics =
   let mix =
     match Fg_serve.Loadgen.mix_of_string mix_s with
     | Ok m -> m
@@ -575,27 +436,7 @@ let serve_bench family seed n readers duration churn_rate sample_pairs mix_s met
   let record = metrics || Option.is_some metrics_out in
   with_obs trace record 1 @@ fun () ->
   let g0 = make_graph family seed n in
-  (* With --shards, churn deletes run through the sharded engine. The
-     reader domains own the worker pool for the whole run, so the engine
-     is pinned to coordinator-side (serial-only) rounds — same result. *)
-  let sharded =
-    if shards > 0 then begin
-      let eng = Fg_shard.Shard_engine.create ~shards g0 in
-      Fg_shard.Shard_engine.set_serial_only eng true;
-      Some eng
-    end
-    else None
-  in
-  let fg =
-    match sharded with
-    | Some eng -> Fg_shard.Shard_engine.fg eng
-    | None -> Fg.of_graph g0
-  in
-  let delete =
-    match sharded with
-    | Some eng -> Some (fun _fg v -> Fg_shard.Shard_engine.delete eng v)
-    | None -> None
-  in
+  let fg = Fg.of_graph g0 in
   let cfg =
     {
       Fg_serve.Loadgen.readers;
@@ -607,22 +448,13 @@ let serve_bench family seed n readers duration churn_rate sample_pairs mix_s met
       seed;
     }
   in
-  let report = Fg_serve.Loadgen.run ?delete fg cfg in
-  Format.printf "serve-bench %s(n=%d) churn=%.0f/s@.%a@." family n churn_rate
-    Fg_serve.Loadgen.pp_report report;
-  Option.iter
-    (fun eng ->
-      Fg_shard.Shard_engine.publish_shards eng;
-      let stats = Fg_shard.Shard_engine.stats eng in
-      Format.printf "shards: %d rounds over %d shards, heals per shard [%s]@."
-        (Fg_shard.Shard_engine.rounds eng)
-        (Fg_shard.Shard_engine.shards eng)
-        (String.concat "; "
-           (Array.to_list
-              (Array.map
-                 (fun s -> string_of_int s.Fg_shard.Shard_engine.heals)
-                 stats))))
-    sharded;
+  let report = Fg_serve.Loadgen.run fg cfg in
+  Format.printf "serve-bench %s(n=%d) churn=%.0f/s@." family n churn_rate;
+  (* Loadgen clamps readers to the worker pool; say so when it did *)
+  if report.Fg_serve.Loadgen.readers_used <> cfg.readers then
+    Format.printf "readers: %d requested, %d used (pool size %d)@." cfg.readers
+      report.readers_used (Fg_graph.Parallel.pool_size ());
+  Format.printf "%a@." Fg_serve.Loadgen.pp_report report;
   (* one complete exposure of the global registry — includes the
      serve.<class>_ns histograms the readers recorded *)
   Option.iter
@@ -685,7 +517,7 @@ let serve_bench_cmd =
     (Cmd.info "serve-bench" ~doc)
     Term.(
       const serve_bench $ family_arg $ seed_arg $ n_arg $ readers $ duration $ churn $ pairs
-      $ mix $ metrics_out $ trace_arg $ metrics_arg $ shards_arg)
+      $ mix $ metrics_out $ trace_arg $ metrics_arg)
 
 (* ---- trace (replay a JSONL telemetry file) ---- *)
 

@@ -317,51 +317,7 @@ let delete_batch_checked t victims =
     victims;
   victims
 
-(* One independent repair group of a simultaneous deletion round, ready to
-   heal: the planner (serial, on the base context) resolves every vnode
-   lookup up front, so executing the group needs nothing but the group's
-   own trees — which is what lets the sharded engine stage groups on
-   worker domains. *)
-type round_group = {
-  rg_members : Node_id.t list;  (* victims, in grouping order *)
-  rg_marked : Rt.vnode list;
-  rg_fresh : Edge.Half.t list;
-  rg_events : bool;
-  mutable rg_stage : Rt.stage option;
-  mutable rg_trace : Rt.heal_trace option;
-}
-
-let group_members g = g.rg_members
-let group_owner g = List.fold_left min max_int g.rg_members
-let group_work g = List.length g.rg_marked + List.length g.rg_fresh
-let group_fresh_procs g = List.map (fun h -> h.Edge.Half.proc) g.rg_fresh
-let group_stage g = g.rg_stage
-
-let heal_group_direct t g =
-  let _root, trace =
-    Rt.heal t.rt ~events:g.rg_events ~marked:g.rg_marked ~fresh:g.rg_fresh
-  in
-  g.rg_trace <- Some trace
-
-let heal_group_staged t ~executor g =
-  let st = Rt.stage t.rt in
-  let _root, trace =
-    Rt.run_staged executor st ~events:g.rg_events ~marked:g.rg_marked
-      ~fresh:g.rg_fresh
-  in
-  g.rg_stage <- Some st;
-  g.rg_trace <- Some trace
-
-let round_executor ?slot t = Rt.executor ?slot t.rt
-
-(* The shared body of [delete_batch] and [delete_round]: classify every
-   victim's neighbours, partition victims into independent repair groups
-   (canonical order: ascending union-find root), hand the group array to
-   [run] — which must leave [rg_trace] set on every group and all heals
-   applied to the base context — then finish the event (image node drops,
-   delta records, metrics). The flat path's [run] heals each group
-   directly in array order, which is exactly the historical behaviour. *)
-let delete_groups_body t victims ~run b =
+let delete_batch_body t victims b =
   let t_heal = Fg_obs.Profile.start () in
   let traces =
     Fg_obs.Trace.with_span "fg.delete_batch"
@@ -428,38 +384,18 @@ let delete_groups_body t victims ~run b =
         Im.update r (fun l -> Some (v :: Option.value l ~default:[])) m)
       Im.empty victims
   in
-  let group_array =
-    let collect tbl members =
+  let heal_group members =
+    let collect tbl =
       List.concat_map
         (fun v -> List.rev (Option.value (Node_id.Tbl.find_opt tbl v) ~default:[]))
         members
     in
-    let gs =
-      Im.fold
-        (fun _ members acc ->
-          {
-            rg_members = members;
-            rg_marked = collect marked members;
-            rg_fresh = collect fresh members;
-            rg_events = b <> None;
-            rg_stage = None;
-            rg_trace = None;
-          }
-          :: acc)
-        groups []
+    let _root, trace =
+      Rt.heal t.rt ~events:(b <> None) ~marked:(collect marked) ~fresh:(collect fresh)
     in
-    (* Im.fold ascends, so reversing restores canonical group order *)
-    Array.of_list (List.rev gs)
+    trace
   in
-  run group_array;
-  let traces =
-    Array.map
-      (fun g ->
-        match g.rg_trace with
-        | Some tr -> tr
-        | None -> invalid_arg "Forgiving_graph: a repair group was not healed")
-      group_array
-  in
+  let traces = Im.fold (fun _ members acc -> heal_group members :: acc) groups [] in
   let t_image = Fg_obs.Profile.start () in
   Fg_obs.Trace.with_span "fg.image" (fun _ ->
       List.iter (fun v -> Rt.drop_image_node t.rt v) victims);
@@ -468,20 +404,16 @@ let delete_groups_body t victims ~run b =
   | None -> ()
   | Some b ->
     List.iter (fun v -> Delta.record_node_remove b v) victims;
-    Delta.record_groups b (Array.length group_array));
+    Delta.record_groups b (Im.cardinal groups));
   if Fg_obs.Trace.enabled () || Fg_obs.Metrics.is_recording () then begin
-    Fg_obs.Trace.attr sp "groups" (Fg_obs.Event.Int (Array.length group_array));
+    Fg_obs.Trace.attr sp "groups" (Fg_obs.Event.Int (Im.cardinal groups));
     Fg_obs.Metrics.incr "fg.batch_deletions";
     Fg_obs.Metrics.incr ~n:(List.length victims) "fg.deletions"
   end;
-  Array.to_list traces)
+  List.rev traces)
   in
   Fg_obs.Profile.stamp Fg_obs.Profile.Heal t_heal;
   traces
-
-let delete_batch_body t victims b =
-  delete_groups_body t victims b
-    ~run:(Array.iter (fun g -> heal_group_direct t g))
 
 let delete_batch_delta t victims =
   let victims = delete_batch_checked t victims in
@@ -492,39 +424,6 @@ let delete_batch_traced t victims = snd (delete_batch_delta t victims)
 let delete_batch t victims =
   let victims = delete_batch_checked t victims in
   run_event t (Delta.Deleted { victims }) (delete_batch_body t victims)
-
-(* ---- scheduled rounds (the sharded engine's entry point) ----
-
-   [delete_round] is [delete_batch] with the group execution delegated to
-   a caller-supplied scheduler: [exec] receives the canonical group array
-   and must get every group healed — directly ([heal_group_direct], on
-   the calling domain, in array order) or staged ([heal_group_staged], any
-   order, any domain). Staged groups are then committed here in canonical
-   order, so the result is byte-identical to [delete_batch] regardless of
-   how [exec] scheduled the work. *)
-
-let commit_groups t groups =
-  Array.iter
-    (fun g ->
-      match g.rg_stage with
-      | Some st -> Rt.commit_stage t.rt st
-      | None -> () (* healed directly; nothing to commit *))
-    groups
-
-let delete_round_body t victims ~exec b =
-  delete_groups_body t victims b ~run:(fun groups ->
-      exec groups;
-      commit_groups t groups)
-
-let delete_round_delta t ~exec victims =
-  let victims = delete_batch_checked t victims in
-  with_event t (Delta.Deleted { victims }) (delete_round_body t victims ~exec)
-
-let delete_round_traced t ~exec victims = snd (delete_round_delta t ~exec victims)
-
-let delete_round t ~exec victims =
-  let victims = delete_batch_checked t victims in
-  run_event t (Delta.Deleted { victims }) (delete_round_body t victims ~exec)
 
 let graph t = Rt.image t.rt
 let gprime t = t.gprime

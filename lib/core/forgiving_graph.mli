@@ -77,63 +77,6 @@ val delete_batch_traced : t -> Node_id.t list -> Rt.heal_trace list
     traces. *)
 val delete_batch_delta : t -> Node_id.t list -> Delta.t * Rt.heal_trace list
 
-(** {2 Scheduled rounds}
-
-    The sharded heal engine's entry point: {!delete_round} is
-    {!delete_batch} with group execution delegated to a caller-supplied
-    scheduler. The planner classifies victims and partitions them into
-    independent repair groups (canonical order: ascending union-find
-    root) on the calling domain; [exec] receives the group array and must
-    get every group healed — directly ({!heal_group_direct}: on the
-    calling domain, {e in array order}) or staged
-    ({!heal_group_staged}: any order, any domain, one executor per
-    domain). Staged groups are then committed in canonical order, making
-    the result byte-identical to {!delete_batch} for any schedule. *)
-
-(** One independent repair group, planned and ready to heal. *)
-type round_group
-
-(** The group's victims (grouping order). *)
-val group_members : round_group -> Node_id.t list
-
-(** Smallest victim id — the group's canonical routing key. *)
-val group_owner : round_group -> Node_id.t
-
-(** Marked-vnode + fresh-leaf count: a load estimate for placement. *)
-val group_work : round_group -> int
-
-(** Processors receiving a fresh leaf — with {!group_members}, the
-    group's collect set (for shard-locality accounting). *)
-val group_fresh_procs : round_group -> Node_id.t list
-
-(** The stage journalling this group's heal, once staged. *)
-val group_stage : round_group -> Rt.stage option
-
-(** Heal a group on the base context, as the flat engine would. Only
-    valid inside [exec], on the calling domain, in canonical order. *)
-val heal_group_direct : t -> round_group -> unit
-
-(** Stage a group's heal on an executor (from {!round_executor}); effects
-    are journalled and committed after [exec] returns. Safe from a worker
-    domain when tracing/metrics/profiling are off — see
-    {!Rt.run_staged}. *)
-val heal_group_staged : t -> executor:Rt.ctx -> round_group -> unit
-
-(** A per-shard staged-heal executor over this engine's context
-    ({!Rt.executor}); [slot] keeps provisional ids disjoint. *)
-val round_executor : ?slot:int -> t -> Rt.ctx
-
-val delete_round : t -> exec:(round_group array -> unit) -> Node_id.t list -> unit
-
-val delete_round_traced :
-  t -> exec:(round_group array -> unit) -> Node_id.t list -> Rt.heal_trace list
-
-val delete_round_delta :
-  t ->
-  exec:(round_group array -> unit) ->
-  Node_id.t list ->
-  Delta.t * Rt.heal_trace list
-
 (** [graph t] is the current actual network (healed). The returned graph is
     live state — treat as read-only; copy before mutating. *)
 val graph : t -> Fg_graph.Adjacency.t

@@ -4,9 +4,7 @@ module Adjacency = Fg_graph.Adjacency
 type kind = Leaf | Helper
 
 type vnode = {
-  mutable id : int;
-      (* stable once assigned from the global counter; staged heals assign
-         provisional ids and renumber at commit (see "staged execution") *)
+  id : int;
   kind : kind;
   half : Edge.Half.t;
   mutable parent : vnode option;
@@ -147,38 +145,6 @@ type ctx = {
   mutable recorder : Delta.builder option;
       (* while set, every actual image flip and vnode create/discard is
          recorded into the event's delta — the single choke point *)
-  mutable backend : backend;
-      (* [Direct] applies mutations to this context's own tables and image;
-         [Staged] journals them into a stage for a later serial commit on
-         the base context (the sharded heal engine's parallel phase) *)
-}
-
-and backend = Direct | Staged of stage
-
-(* Journal of one staged heal: the group-exclusive tree surgery happens
-   eagerly on the vnodes themselves (groups touch disjoint RTs, so this is
-   safe from any domain), while every effect on shared state — the vnode
-   tables, the refcounted image, the recorder — is buffered here and
-   replayed by [commit_stage] on the base context in canonical group
-   order. Vnodes created during staging carry provisional ids (all larger
-   than every committed id and creation-ordered, so every id comparison
-   inside the heal resolves exactly as it would on the base context);
-   commit renumbers them from the base counter, reproducing the flat
-   engine's id sequence byte for byte. *)
-and stage = {
-  st_base : ctx;
-  st_leaf_add : vnode Edge.Half.Tbl.t;  (* overlay: leaves created, still live *)
-  st_helper_add : vnode Edge.Half.Tbl.t;
-  st_leaf_removed : unit Edge.Half.Tbl.t;  (* base entries discarded *)
-  st_helper_removed : unit Edge.Half.Tbl.t;
-  mutable st_img : int array;
-      (* refcount ops in program order: [+pack] = inc, [-pack] = dec
-         (packed keys are >= 1, so the sign is free) *)
-  mutable st_img_len : int;
-  mutable st_created : vnode array;  (* creation order, for renumbering *)
-  mutable st_created_len : int;
-  mutable st_discarded : int;
-  mutable st_committed : bool;
 }
 
 let dummy_vnode =
@@ -220,36 +186,7 @@ let create_ctx ?(policy = Paper) () =
     scratch = create_scratch ();
     next_id = 0;
     recorder = None;
-    backend = Direct;
   }
-
-(* ---- stage journal primitives ---- *)
-
-let stage_img_push st op =
-  if st.st_img_len = Array.length st.st_img then begin
-    let cap = max 64 (2 * st.st_img_len) in
-    let a = Array.make cap 0 in
-    Array.blit st.st_img 0 a 0 st.st_img_len;
-    st.st_img <- a
-  end;
-  st.st_img.(st.st_img_len) <- op;
-  st.st_img_len <- st.st_img_len + 1
-
-let stage_note_created st v =
-  if st.st_created_len = Array.length st.st_created then begin
-    let cap = max 16 (2 * st.st_created_len) in
-    let a = Array.make cap dummy_vnode in
-    Array.blit st.st_created 0 a 0 st.st_created_len;
-    st.st_created <- a
-  end;
-  st.st_created.(st.st_created_len) <- v;
-  st.st_created_len <- st.st_created_len + 1
-
-(* membership through the overlay: the stage's own additions shadow the
-   base table, and base entries discarded during this stage are gone *)
-let staged_mem ~add ~removed ~base half =
-  Edge.Half.Tbl.mem add half
-  || (Edge.Half.Tbl.mem base half && not (Edge.Half.Tbl.mem removed half))
 
 let set_recorder ctx r = ctx.recorder <- r
 
@@ -267,33 +204,27 @@ let pack_pair u v = if u < v then (u lsl 31) lor v else (v lsl 31) lor u
 
 let img_inc ctx u v =
   if not (Node_id.equal u v) then
-    match ctx.backend with
-    | Staged st -> stage_img_push st (pack_pair u v)
-    | Direct ->
-      if Counts.inc ctx.counts (pack_pair u v) = 1 then begin
-        Adjacency.add_edge ctx.img u v;
-        (match ctx.recorder with
-        | None -> ()
-        | Some b -> Delta.record_g_add b u v);
-        Fg_obs.Trace.count "image.edges_added" 1;
-        Fg_obs.Metrics.incr "image.edges_added"
-      end
+    if Counts.inc ctx.counts (pack_pair u v) = 1 then begin
+      Adjacency.add_edge ctx.img u v;
+      (match ctx.recorder with
+      | None -> ()
+      | Some b -> Delta.record_g_add b u v);
+      Fg_obs.Trace.count "image.edges_added" 1;
+      Fg_obs.Metrics.incr "image.edges_added"
+    end
 
 let img_dec ctx u v =
   if not (Node_id.equal u v) then
-    match ctx.backend with
-    | Staged st -> stage_img_push st (-pack_pair u v)
-    | Direct -> (
-      match Counts.dec ctx.counts (pack_pair u v) with
-      | -1 -> invalid_arg "Rt.img_dec: edge not present"
-      | 0 ->
-        Adjacency.remove_edge ctx.img u v;
-        (match ctx.recorder with
-        | None -> ()
-        | Some b -> Delta.record_g_remove b u v);
-        Fg_obs.Trace.count "image.edges_removed" 1;
-        Fg_obs.Metrics.incr "image.edges_removed"
-      | _ -> ())
+    match Counts.dec ctx.counts (pack_pair u v) with
+    | -1 -> invalid_arg "Rt.img_dec: edge not present"
+    | 0 ->
+      Adjacency.remove_edge ctx.img u v;
+      (match ctx.recorder with
+      | None -> ()
+      | Some b -> Delta.record_g_remove b u v);
+      Fg_obs.Trace.count "image.edges_removed" 1;
+      Fg_obs.Metrics.incr "image.edges_removed"
+    | _ -> ()
 
 let add_direct ctx u v = img_inc ctx u v
 let remove_direct ctx u v = img_dec ctx u v
@@ -323,20 +254,11 @@ let fresh_leaf ctx half =
     }
   in
   ctx.next_id <- ctx.next_id + 1;
-  (match ctx.backend with
-  | Direct ->
-    assert (not (Edge.Half.Tbl.mem ctx.leaf_tbl half));
-    (* [add] rather than [replace]: the key is absent (asserted above), so
-       this skips the bucket search [replace] would do *)
-    Edge.Half.Tbl.add ctx.leaf_tbl half v;
-    Option.iter Delta.record_vnode_created ctx.recorder
-  | Staged st ->
-    assert (
-      not
-        (staged_mem ~add:st.st_leaf_add ~removed:st.st_leaf_removed
-           ~base:st.st_base.leaf_tbl half));
-    Edge.Half.Tbl.add st.st_leaf_add half v;
-    stage_note_created st v);
+  assert (not (Edge.Half.Tbl.mem ctx.leaf_tbl half));
+  (* [add] rather than [replace]: the key is absent (asserted above), so
+     this skips the bucket search [replace] would do *)
+  Edge.Half.Tbl.add ctx.leaf_tbl half v;
+  Option.iter Delta.record_vnode_created ctx.recorder;
   v
 
 (* Create a helper simulated by the representative leaf [simulator], with
@@ -344,6 +266,7 @@ let fresh_leaf ctx half =
 let fresh_helper ctx ~simulator ~left ~right ~rep =
   let half = simulator.half in
   assert (simulator.kind = Leaf);
+  assert (not (Edge.Half.Tbl.mem ctx.helper_tbl half));
   let v =
     {
       id = ctx.next_id;
@@ -359,18 +282,8 @@ let fresh_helper ctx ~simulator ~left ~right ~rep =
     }
   in
   ctx.next_id <- ctx.next_id + 1;
-  (match ctx.backend with
-  | Direct ->
-    assert (not (Edge.Half.Tbl.mem ctx.helper_tbl half));
-    Edge.Half.Tbl.add ctx.helper_tbl half v;
-    Option.iter Delta.record_vnode_created ctx.recorder
-  | Staged st ->
-    assert (
-      not
-        (staged_mem ~add:st.st_helper_add ~removed:st.st_helper_removed
-           ~base:st.st_base.helper_tbl half));
-    Edge.Half.Tbl.add st.st_helper_add half v;
-    stage_note_created st v);
+  Edge.Half.Tbl.add ctx.helper_tbl half v;
+  Option.iter Delta.record_vnode_created ctx.recorder;
   left.parent <- Some v;
   right.parent <- Some v;
   img_inc ctx (proc v) (proc left);
@@ -392,23 +305,10 @@ let discard ctx v =
   v.left <- None;
   v.right <- None;
   v.live <- false;
-  (match ctx.backend with
-  | Direct ->
-    (match v.kind with
-    | Leaf -> Edge.Half.Tbl.remove ctx.leaf_tbl v.half
-    | Helper -> Edge.Half.Tbl.remove ctx.helper_tbl v.half);
-    Option.iter Delta.record_vnode_discarded ctx.recorder
-  | Staged st ->
-    (* a vnode created by this very stage dies in its overlay; a base vnode
-       is shadowed out until commit removes its table entry for real *)
-    let add, removed =
-      match v.kind with
-      | Leaf -> (st.st_leaf_add, st.st_leaf_removed)
-      | Helper -> (st.st_helper_add, st.st_helper_removed)
-    in
-    if Edge.Half.Tbl.mem add v.half then Edge.Half.Tbl.remove add v.half
-    else Edge.Half.Tbl.replace removed v.half ();
-    st.st_discarded <- st.st_discarded + 1);
+  (match v.kind with
+  | Leaf -> Edge.Half.Tbl.remove ctx.leaf_tbl v.half
+  | Helper -> Edge.Half.Tbl.remove ctx.helper_tbl v.half);
+  Option.iter Delta.record_vnode_discarded ctx.recorder;
   children
 
 (* ---- decomposition (Strip over the broken forest) ---- *)
@@ -664,13 +564,7 @@ let heal ?(events = true) ctx ~marked ~fresh =
     || Fg_obs.Metrics.is_recording ()
   in
   let s = ctx.scratch in
-  (* the mark/seen stamps only ever index pre-existing vnodes (marked
-     vnodes, their ancestors, and the trees hanging off them) — never the
-     vnodes this heal creates — so in staged mode the bound is the base
-     counter, not this executor's (huge) provisional counter *)
-  (match ctx.backend with
-  | Direct -> ensure_stamps s ctx.next_id
-  | Staged st -> ensure_stamps s st.st_base.next_id);
+  ensure_stamps s ctx.next_id;
   s.epoch <- s.epoch + 2;
   let e = s.epoch in
   (* mark the deleted processor's vnodes, then taint every ancestor *)
@@ -844,122 +738,3 @@ let pp_vnode ppf v =
   let k = match v.kind with Leaf -> "leaf" | Helper -> "helper" in
   Format.fprintf ppf "%s#%d %a (leaves=%d h=%d)" k v.id Edge.Half.pp v.half v.leaves
     v.height
-
-(* ---- staged execution (the sharded heal engine's parallel phase) ----
-
-   An executor is a shadow context for one shard: it shares the base's
-   policy and a read-only view of its tables, but owns its own scratch
-   arena and a provisional id counter. [run_staged] runs [heal] on an
-   executor with all shared-state effects journalled into a stage;
-   [commit_stage] replays stages on the base context in canonical group
-   order, reproducing the flat engine's state byte for byte (see
-   ARCHITECTURE.md "Sharded write path" for the argument).
-
-   Provisional ids start at 2^60 (far above any committable real id) and
-   each executor slot gets its own 2^40-wide range, so ids are unique
-   across concurrent executors, every provisional id exceeds every real
-   id, and within one heal they ascend in creation order — the three
-   properties the heal's id comparisons ([vnode_order], [unit_order])
-   need to resolve exactly as they would on the base context. *)
-
-let prov_base = 1 lsl 60
-let prov_slice = 1 lsl 40
-let max_slots = 1 lsl 10
-
-let executor ?(slot = 0) base =
-  if base.policy <> Paper then
-    invalid_arg "Rt.executor: staged heals require the Paper policy \
-                 (Degree_balanced reads the live image during merges)";
-  if slot < 0 || slot >= max_slots then invalid_arg "Rt.executor: bad slot";
-  {
-    base with
-    scratch = create_scratch ();
-    next_id = prov_base + (slot * prov_slice);
-    recorder = None;
-    backend = Direct;
-  }
-
-let stage base =
-  (match base.backend with
-  | Direct -> ()
-  | Staged _ -> invalid_arg "Rt.stage: base context is itself staged");
-  {
-    st_base = base;
-    st_leaf_add = Edge.Half.Tbl.create 8;
-    st_helper_add = Edge.Half.Tbl.create 8;
-    st_leaf_removed = Edge.Half.Tbl.create 8;
-    st_helper_removed = Edge.Half.Tbl.create 8;
-    st_img = [||];
-    st_img_len = 0;
-    st_created = [||];
-    st_created_len = 0;
-    st_discarded = 0;
-    st_committed = false;
-  }
-
-let run_staged exec st ~events ~marked ~fresh =
-  (match exec.backend with
-  | Direct -> ()
-  | Staged _ -> invalid_arg "Rt.run_staged: executor already running a stage");
-  if st.st_committed then invalid_arg "Rt.run_staged: stage already committed";
-  exec.backend <- Staged st;
-  Fun.protect
-    ~finally:(fun () -> exec.backend <- Direct)
-    (fun () -> heal ~events exec ~marked ~fresh)
-
-let commit_stage ctx st =
-  if st.st_base != ctx then
-    invalid_arg "Rt.commit_stage: stage is bound to a different context";
-  if st.st_committed then invalid_arg "Rt.commit_stage: stage already committed";
-  (match ctx.backend with
-  | Direct -> ()
-  | Staged _ -> invalid_arg "Rt.commit_stage: base context is staged");
-  st.st_committed <- true;
-  (* canonical renumbering: provisional ids collapse onto the global
-     counter in creation order — committing stages in the flat engine's
-     heal order therefore reproduces its exact id sequence *)
-  for i = 0 to st.st_created_len - 1 do
-    let v = st.st_created.(i) in
-    v.id <- ctx.next_id;
-    ctx.next_id <- ctx.next_id + 1
-  done;
-  (* table merge: base removals first, then the overlay's additions *)
-  Edge.Half.Tbl.iter (fun h () -> Edge.Half.Tbl.remove ctx.leaf_tbl h) st.st_leaf_removed;
-  Edge.Half.Tbl.iter
-    (fun h () -> Edge.Half.Tbl.remove ctx.helper_tbl h)
-    st.st_helper_removed;
-  Edge.Half.Tbl.iter (fun h v -> Edge.Half.Tbl.add ctx.leaf_tbl h v) st.st_leaf_add;
-  Edge.Half.Tbl.iter (fun h v -> Edge.Half.Tbl.add ctx.helper_tbl h v) st.st_helper_add;
-  (* vnode churn totals through the recorder (counters, order-free) *)
-  (match ctx.recorder with
-  | None -> ()
-  | Some b ->
-    for _ = 1 to st.st_created_len do
-      Delta.record_vnode_created b
-    done;
-    for _ = 1 to st.st_discarded do
-      Delta.record_vnode_discarded b
-    done);
-  (* image ops through the refcounted choke point, in staged order: actual
-     edge flips (and their delta records) fall out exactly where the flat
-     engine's multiplicity transitions would put them *)
-  let mask = (1 lsl 31) - 1 in
-  for k = 0 to st.st_img_len - 1 do
-    let op = st.st_img.(k) in
-    let pk = abs op in
-    let u = pk lsr 31 and v = pk land mask in
-    if op > 0 then img_inc ctx u v else img_dec ctx u v
-  done
-
-let stage_stats st = (st.st_created_len, st.st_discarded, st.st_img_len)
-
-let stage_ops st =
-  let mask = (1 lsl 31) - 1 in
-  let rec go k acc =
-    if k < 0 then acc
-    else
-      let op = st.st_img.(k) in
-      let pk = abs op in
-      go (k - 1) ((pk lsr 31, pk land mask, op > 0) :: acc)
-  in
-  go (st.st_img_len - 1) []

@@ -28,10 +28,7 @@ module Node_id := Fg_graph.Node_id
 type kind = Leaf | Helper
 
 type vnode = {
-  mutable id : int;
-      (** unique; used for hashing and deterministic tie-breaks. Stable
-          once committed — only {!commit_stage} rewrites it, collapsing a
-          staged heal's provisional ids onto the global counter *)
+  id : int;  (** unique; used for hashing and deterministic tie-breaks *)
   kind : kind;
   half : Edge.Half.t;  (** owning processor and G'-edge scope *)
   mutable parent : vnode option;
@@ -154,62 +151,3 @@ val all_leaves : ctx -> vnode list
 val all_helpers : ctx -> vnode list
 
 val pp_vnode : Format.formatter -> vnode -> unit
-
-(** {1 Staged execution}
-
-    The sharded heal engine's parallel phase: independent repair groups
-    run concurrently on per-shard {e executors}, journalling every effect
-    on shared state into a {!stage}; the coordinator then commits stages
-    serially in canonical group order, leaving the base context {e byte
-    identical} to what the flat engine would have produced. See
-    ARCHITECTURE.md "Sharded write path". *)
-
-(** Journal of one staged heal, bound to the base context it forked from.
-    Tree surgery (group-exclusive by construction) happens eagerly;
-    vnode-table edits, refcounted image flips, and delta records are
-    buffered until {!commit_stage}. *)
-type stage
-
-(** [executor ?slot base] is a shadow context for one shard: it shares
-    [base]'s policy and a read-only view of its state but owns its own
-    scratch arena and a disjoint provisional-id range (selected by
-    [slot], default 0; at most 1024 slots). One executor must never run
-    two stages concurrently — give each domain its own. Raises
-    [Invalid_argument] for a non-[Paper] policy: [Degree_balanced] reads
-    the live image during merges, which a staged heal must not do. *)
-val executor : ?slot:int -> ctx -> ctx
-
-(** A fresh, empty stage bound to [base]. *)
-val stage : ctx -> stage
-
-(** [run_staged exec st ~events ~marked ~fresh] runs {!heal} on the
-    executor with all shared-state effects journalled into [st]. The
-    inputs must form one independent repair group of a simultaneous
-    deletion round (disjoint RTs across concurrently staged groups);
-    [marked] vnodes must all pre-date the round. Safe to call from a
-    worker domain provided tracing, metrics recording, and profiling are
-    off (their sinks are not multi-domain-safe — serialize staging when
-    any is on; the output is identical either way). *)
-val run_staged :
-  ctx ->
-  stage ->
-  events:bool ->
-  marked:vnode list ->
-  fresh:Edge.Half.t list ->
-  vnode option * heal_trace
-
-(** [commit_stage base st] replays the journal on the base context:
-    renumbers created vnodes from the global counter (creation order),
-    merges the vnode-table edits, and drives every buffered refcount op
-    through the live image — so actual edge flips, their delta records,
-    and vnode-churn counts land exactly as the flat engine's would.
-    Stages of one round must be committed in canonical (ascending
-    union-find root) group order. A stage commits at most once. *)
-val commit_stage : ctx -> stage -> unit
-
-(** [(created, discarded, img_ops)] journal sizes — load/telemetry. *)
-val stage_stats : stage -> int * int * int
-
-(** The buffered refcount ops in program order, [(u, v, is_inc)] — the
-    per-shard event stream, for audits. Survives the commit. *)
-val stage_ops : stage -> (Node_id.t * Node_id.t * bool) list

@@ -1,6 +1,6 @@
 (* The signature is the whole point of this module: every lock-free
-   protocol in the tree (Snapshot_store, Mailbox, the Parallel ticket
-   gate) is a functor over [S] so the same code runs over the real
+   protocol in the tree (Snapshot_store, the Parallel ticket gate) is a
+   functor over [S] so the same code runs over the real
    [Stdlib.Atomic] in production and over a recording scheduler shim in
    the fg_race interleaving checker. *)
 

@@ -1,8 +1,7 @@
 (** The atomic-operations signature the lock-free tier is written
     against.
 
-    {!Snapshot_store.Make}, {!Mailbox.Make} (in [fg_shard]) and
-    {!Parallel.Ticket.Make} take an [S] instead of hard-coding
+    {!Snapshot_store.Make} and {!Parallel.Ticket.Make} take an [S] instead of hard-coding
     [Stdlib.Atomic], so the exact protocol code that runs in production
     can also be instantiated over the traced shim in [tools/fg_race] and
     driven through bounded-exhaustive interleaving exploration. Every

@@ -243,8 +243,6 @@ let map ?domains ~init ~f n =
     Array.map (function Some x -> x | None -> assert false) results
   end
 
-let iter ?domains ~init ~f n = ignore (map ?domains ~init ~f n)
-
 (* ---- detached tasks ---- *)
 
 let pool_size () = max_domains () - 1

@@ -55,9 +55,6 @@ val shutdown : unit -> unit
     domain. *)
 val map : ?domains:int -> init:(unit -> 's) -> f:('s -> int -> 'a) -> int -> 'a array
 
-(** [iter ?domains ~init ~f n] is {!map} without collecting results. *)
-val iter : ?domains:int -> init:(unit -> 's) -> f:('s -> int -> unit) -> int -> unit
-
 (** {1 Detached tasks}
 
     Long-lived work — e.g. the serving tier's reader loops — does not fit
@@ -67,7 +64,7 @@ val iter : ?domains:int -> init:(unit -> 's) -> f:('s -> int -> unit) -> int -> 
     until it finishes and re-raises its exception, if any.
 
     Caveats (by design, to keep the pool simple):
-    - A barrier job ({!map}/{!iter} with [domains > 1]) counts {e every}
+    - A barrier job ({!map} with [domains > 1]) counts {e every}
       worker, so it will wait for long-running submitted tasks to finish
       before returning. Don't mix a multi-domain {!map} with long-lived
       tasks in flight.

@@ -8,8 +8,6 @@ type t = {
   mutable now : float;
   mutable first : float; (* < 0 until the first event *)
   mutable stat : Event.attrs;
-  mutable shard : Event.attrs; (* latest fg.shard point *)
-  shard_hist : (float * int array) Queue.t; (* (ts, cumulative heals/shard) *)
   mutable events : int;
 }
 
@@ -22,8 +20,6 @@ let create ?(window = 10.0) () =
     now = 0.;
     first = -1.;
     stat = [];
-    shard = [];
-    shard_hist = Queue.create ();
     events = 0;
   }
 
@@ -56,27 +52,9 @@ let feed t e =
     | _ -> ())
   | Event.Point { name = "fg.delta"; ts; _ } -> Queue.push ts t.delta_ts
   | Event.Point { name = "fg.stat"; attrs; _ } -> t.stat <- attrs
-  | Event.Point { name = "fg.shard"; ts; attrs } ->
-    t.shard <- attrs;
-    (match List.assoc_opt "shards" attrs with
-    | Some (Event.Int k) when k > 0 ->
-      let heals = Array.make k 0 in
-      for s = 0 to k - 1 do
-        match List.assoc_opt (Printf.sprintf "s%d.heals" s) attrs with
-        | Some (Event.Int h) -> heals.(s) <- h
-        | _ -> ()
-      done;
-      Queue.push (ts, heals) t.shard_hist
-    | _ -> ())
   | _ -> ());
   trim t t.heal_ts;
-  trim t t.delta_ts;
-  while
-    (not (Queue.is_empty t.shard_hist))
-    && fst (Queue.peek t.shard_hist) < t.now -. t.window
-  do
-    ignore (Queue.pop t.shard_hist)
-  done
+  trim t t.delta_ts
 
 let events_seen t = t.events
 
@@ -90,21 +68,6 @@ let rate t q =
 
 let heal_rate t = rate t t.heal_ts
 let delta_rate t = rate t t.delta_ts
-
-(* Per-shard heal rates from the windowed cumulative counters carried by
-   fg.shard points: (last - first) / elapsed, per shard. *)
-let shard_heal_rates t =
-  if Queue.length t.shard_hist < 2 then [||]
-  else begin
-    let first = Queue.peek t.shard_hist in
-    let last = Queue.fold (fun _ e -> e) first t.shard_hist in
-    let span = fst last -. fst first in
-    let span = if span < 1e-3 then 1e-3 else span in
-    let fh = snd first and lh = snd last in
-    Array.init
-      (min (Array.length fh) (Array.length lh))
-      (fun s -> float_of_int (lh.(s) - fh.(s)) /. span)
-  end
 
 let fmt_ns ns =
   let f = float_of_int ns in
@@ -156,20 +119,4 @@ let render ?(ansi = false) t =
       t.stat;
     Buffer.add_char buf '\n'
   end;
-  (match List.assoc_opt "shards" t.shard with
-  | Some (Event.Int k) when k > 0 ->
-    let rates = shard_heal_rates t in
-    Buffer.add_string buf "\nshards: ";
-    for s = 0 to k - 1 do
-      let mbox =
-        match List.assoc_opt (Printf.sprintf "s%d.mbox" s) t.shard with
-        | Some (Event.Int d) -> d
-        | _ -> 0
-      in
-      let r = if s < Array.length rates then rates.(s) else 0. in
-      Printf.bprintf buf "s%d %.1f/s mbox %d%s" s r mbox
-        (if s < k - 1 then " | " else "")
-    done;
-    Buffer.add_char buf '\n'
-  | _ -> ());
   Buffer.contents buf

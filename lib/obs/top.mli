@@ -34,9 +34,4 @@ val heal_rate : t -> float
 
 val delta_rate : t -> float
 
-(** Per-shard heals/sec over the trailing window, from the cumulative
-    counters carried by [fg.shard] points (sharded engine rounds).
-    Empty until two such points are in the window. *)
-val shard_heal_rates : t -> float array
-
 val render : ?ansi:bool -> t -> string

@@ -87,7 +87,7 @@ let reader_loop ~stop ~store ~ids ~cfg ~idx ~out () =
     done
   end
 
-let run ?(delete = Fg.delete) fg cfg =
+let run fg cfg =
   if cfg.duration <= 0. then invalid_arg "Loadgen.run: duration must be positive";
   (match mix_of_string (String.concat "," (List.map (fun (c, w) -> Printf.sprintf "%s=%d" c w) cfg.mix)) with
   | Ok _ -> ()
@@ -131,7 +131,7 @@ let run ?(delete = Fg.delete) fg cfg =
           match Fg.live_nodes fg with
           | [] -> ()
           | live ->
-            delete fg (Rng.pick wrng live);
+            Fg.delete fg (Rng.pick wrng live);
             incr deletes;
             ignore (Fg.publish fg : Fg.snapshot)
         end;

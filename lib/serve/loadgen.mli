@@ -51,17 +51,10 @@ type report = {
   classes : (string * Fg_obs.Hdr.t) list;  (** per class, mix order *)
 }
 
-(** [run ?delete fg config] drives the load and blocks until [duration]
-    elapses and every reader has drained. The engine must not be mutated
-    by anyone else for the duration (single-writer discipline). [delete]
-    replaces the churn primitive (default
-    {!Fg_core.Forgiving_graph.delete}) — e.g. a sharded engine's
-    round-delete — and must leave [fg] healed when it returns. Raises
+(** [run fg config] drives the load and blocks until [duration] elapses
+    and every reader has drained. The engine must not be mutated by
+    anyone else for the duration (single-writer discipline). Raises
     [Invalid_argument] on an invalid mix or non-positive duration. *)
-val run :
-  ?delete:(Fg_core.Forgiving_graph.t -> Fg_graph.Node_id.t -> unit) ->
-  Fg_core.Forgiving_graph.t ->
-  config ->
-  report
+val run : Fg_core.Forgiving_graph.t -> config -> report
 
 val pp_report : Format.formatter -> report -> unit

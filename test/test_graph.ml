@@ -213,53 +213,6 @@ let test_average_path_length () =
   let apl = Diameter.average_path_length (Generators.path 3) in
   Alcotest.(check (float 1e-9)) "path3" (4. /. 3.) apl
 
-(* ---- heap + dijkstra ---- *)
-
-let test_heap_ordering () =
-  let h = Binary_heap.create () in
-  List.iter (fun p -> Binary_heap.push h p p) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let out = ref [] in
-  while not (Binary_heap.is_empty h) do
-    out := fst (Binary_heap.pop_min h) :: !out
-  done;
-  Alcotest.(check (list int)) "sorted" [ 9; 5; 4; 3; 1; 1; 0 ] !out
-
-let test_heap_empty_raises () =
-  let h = Binary_heap.create () in
-  Alcotest.check_raises "pop" Not_found (fun () -> ignore (Binary_heap.pop_min h));
-  Alcotest.check_raises "peek" Not_found (fun () -> ignore (Binary_heap.peek_min h))
-
-let test_dijkstra_unit_weights_match_bfs () =
-  let rng = Rng.create 11 in
-  let g = Generators.erdos_renyi rng 40 0.1 in
-  let src = 0 in
-  let bfs = Bfs.distances g src in
-  let dij = Dijkstra.distances g ~weight:(fun _ _ -> 1) src in
-  Node_id.Tbl.iter
-    (fun v d ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "node %d" v)
-        (Some d) (Node_id.Tbl.find_opt dij v))
-    bfs
-
-let test_dijkstra_weighted () =
-  (* 0-1 cost 10, 0-2 cost 1, 2-1 cost 1: shortest 0->1 is 2 *)
-  let g = Adjacency.of_edges [ (0, 1); (0, 2); (2, 1) ] in
-  let weight u v =
-    match (min u v, max u v) with
-    | 0, 1 -> 10
-    | _ -> 1
-  in
-  Alcotest.(check (option int)) "via 2" (Some 2) (Dijkstra.distance g ~weight 0 1)
-
-let test_dijkstra_rejects_nonpositive () =
-  let g = Adjacency.of_edges [ (0, 1) ] in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Dijkstra.distances g ~weight:(fun _ _ -> 0) 0);
-       false
-     with Invalid_argument _ -> true)
-
 (* ---- generators ---- *)
 
 let test_generator_shapes () =
@@ -465,13 +418,6 @@ let suite =
       test_diameter_two_sweep_tree_exact;
     Alcotest.test_case "radius" `Quick test_radius;
     Alcotest.test_case "average path length" `Quick test_average_path_length;
-    Alcotest.test_case "heap: ordering" `Quick test_heap_ordering;
-    Alcotest.test_case "heap: empty raises" `Quick test_heap_empty_raises;
-    Alcotest.test_case "dijkstra: unit weights = bfs" `Quick
-      test_dijkstra_unit_weights_match_bfs;
-    Alcotest.test_case "dijkstra: weighted detour" `Quick test_dijkstra_weighted;
-    Alcotest.test_case "dijkstra: rejects non-positive" `Quick
-      test_dijkstra_rejects_nonpositive;
     Alcotest.test_case "generators: shapes" `Quick test_generator_shapes;
     Alcotest.test_case "generators: random tree" `Quick
       test_generator_tree_connected_acyclic;

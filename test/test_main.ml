@@ -28,7 +28,6 @@ let () =
       ("harness", Test_harness.suite);
       ("parallel", Test_parallel.suite);
       ("serve", Test_serve.suite);
-      ("shard", Test_shard.suite);
       ("lint", Test_lint.suite);
       ("race", Test_race.suite);
       ("alloc", Test_alloc.suite);

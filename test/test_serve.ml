@@ -203,7 +203,10 @@ let test_torture_concurrent_readers () =
   ignore (Fg.publish fg : Fg.snapshot);
   let nodes = Array.of_list (Adjacency.nodes (Fg.gprime fg)) in
   let stop = Atomic.make false in
-  let n_readers = max 2 (Parallel.pool_size ()) in
+  (* one reader per pool worker: a reader beyond the pool would queue
+     behind the others and only run once [stop] is set *)
+  let n_readers = Parallel.pool_size () in
+  let serving = Atomic.make 0 in
   let logs = Array.make n_readers [] in
   let reader idx () =
     let rng = Rng.create (1000 + idx) in
@@ -217,6 +220,7 @@ let test_torture_concurrent_readers () =
       in
       let seen_gen = Store.current_gen store in
       let got = Serve.serve w r query in
+      if !acc = [] then Atomic.incr serving;
       acc := { seen_gen; query; got } :: !acc
     done;
     logs.(idx) <- !acc
@@ -230,6 +234,16 @@ let test_torture_concurrent_readers () =
     | None -> assert false
   in
   table ();
+  (* heal only once every reader is answering, so each one overlaps the
+     writer instead of racing it to the start *)
+  let deadline = Unix.gettimeofday () +. 30. in
+  while Atomic.get serving < n_readers do
+    if Unix.gettimeofday () > deadline then begin
+      Atomic.set stop true;
+      Alcotest.failf "only %d of %d readers started serving" (Atomic.get serving) n_readers
+    end;
+    Domain.cpu_relax ()
+  done;
   let rng = Rng.create 31 in
   let steps = ref 0 in
   while !steps < 60 && Fg.num_live fg > 8 do
@@ -257,6 +271,10 @@ let test_torture_concurrent_readers () =
            incr checked))
     logs;
   Alcotest.(check bool) "concurrent queries were actually served" true (!checked > 0);
+  Array.iteri
+    (fun i log ->
+      if log = [] then Alcotest.failf "reader %d logged no answer" i)
+    logs;
   check_conservation store;
   Parallel.shutdown ()
 

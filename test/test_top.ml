@@ -102,45 +102,10 @@ let test_cli_top_smoke () =
       Alcotest.(check bool) ("top output has " ^ sub) true (contains sub text))
     [ "fg top"; "heals/s"; "fg.delete"; "rt.strip" ]
 
-let test_shard_row () =
-  let t = Top.create ~window:10.0 () in
-  let shard_point ts h0 h1 d0 d1 =
-    point "fg.shard" ts
-      ~attrs:
-        [
-          ("shards", E.Int 2);
-          ("round", E.Int 1);
-          ("groups", E.Int 2);
-          ("s0.heals", E.Int h0);
-          ("s0.mbox", E.Int d0);
-          ("s1.heals", E.Int h1);
-          ("s1.mbox", E.Int d1);
-        ]
-  in
-  Alcotest.(check int) "no points: no rates" 0
-    (Array.length (Top.shard_heal_rates t));
-  (* cumulative heals: shard 0 gains 20, shard 1 gains 10, over 2s *)
-  Top.feed t (shard_point 0.0 0 0 1 1);
-  Top.feed t (shard_point 1.0 12 4 3 2);
-  Top.feed t (shard_point 2.0 20 10 2 5);
-  let rates = Top.shard_heal_rates t in
-  Alcotest.(check int) "one rate per shard" 2 (Array.length rates);
-  if Float.abs (rates.(0) -. 10.0) > 0.5 then
-    Alcotest.failf "s0 rate: expected ~10, got %.2f" rates.(0);
-  if Float.abs (rates.(1) -. 5.0) > 0.5 then
-    Alcotest.failf "s1 rate: expected ~5, got %.2f" rates.(1);
-  let frame = Top.render ~ansi:false t in
-  List.iter
-    (fun sub ->
-      Alcotest.(check bool) ("frame contains " ^ sub) true (contains sub frame))
-    [ "shards:"; "s0 "; "s1 "; "mbox 2"; "mbox 5" ]
-
 let suite =
   [
     Alcotest.test_case "heal/delta rates over the stream window" `Quick
       test_rates;
-    Alcotest.test_case "per-shard rates row from fg.shard points" `Quick
-      test_shard_row;
     Alcotest.test_case "stale events slide out of the window" `Quick
       test_window_trim;
     Alcotest.test_case "render includes phases, rates and stats" `Quick

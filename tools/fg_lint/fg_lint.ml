@@ -76,9 +76,8 @@ let rules : rule list =
       id = "R7";
       severity = Error;
       summary =
-        "unbalanced paired protocol calls (pin/unpin, reserve/commit, \
-         stage/commit_stage) within a top-level binding, or a pin that can \
-         escape on an exception path (use with_pin or Fun.protect)";
+        "unbalanced snapshot pin/unpin within a top-level binding, or a pin \
+         that can escape on an exception path (use with_pin or Fun.protect)";
     };
     {
       id = "R8";
@@ -92,8 +91,7 @@ let rules : rule list =
       severity = Error;
       summary =
         "blocking call (Unix.sleep*, Condition.wait, Mutex.lock, \
-         Parallel.await) while a snapshot is pinned or a mailbox slot is \
-         reserved";
+         Parallel.await) while a snapshot is pinned";
     };
   ]
 
@@ -149,8 +147,6 @@ let default_conf () =
       [
         "lib/graph/snapshot_store.ml";
         "lib/graph/parallel.ml";
-        "lib/shard/mailbox.ml";
-        "lib/shard/shard_engine.ml";
         "lib/serve";
       ];
     domain_sanctioned = [ "lib/graph/parallel.ml" ];
@@ -526,40 +522,21 @@ let r8_target lid =
   | Some ("Condition", f) -> Some ("Condition." ^ f)
   | _ -> None
 
-(* ---------------- R7/R9 protocol-pair events ---------------- *)
+(* ---------------- R7/R9 pin events ---------------- *)
 
-(* The paired protocols the serving tier leans on. Matching is by the
-   distinctive final name: [pin]/[unpin]/[with_pin] bind tightly enough to
-   match bare, the generic names ([reserve], [commit], [abort], [stage],
-   [commit_stage]) only count module-qualified. [Rt.stage]/[commit_stage]
-   is registered for completeness but commits are usually cross-function
-   (the stage lives in a record field), which per-binding analysis cannot
-   see — conservative, never a false positive. *)
-type pair = Pin | Slot | Stage
+(* The paired protocol the serving tier leans on: a snapshot pin.
+   [pin]/[unpin]/[with_pin] bind tightly enough to match bare. *)
+type pin_class = Pin_open | Pin_close | With_pin | Not_pin
 
-let pair_count = 3
-let pair_idx = function Pin -> 0 | Slot -> 1 | Stage -> 2
-let pair_name = function
-  | Pin -> "Snapshot_store.pin/unpin"
-  | Slot -> "Mailbox.reserve/commit"
-  | Stage -> "Rt.stage/commit_stage"
-
-type pair_class = POpen of pair | PClose of pair | PWith_pin | PNone
-
-let classify_pair path =
-  match List.rev path with
-  | "pin" :: _ -> POpen Pin
-  | "unpin" :: _ -> PClose Pin
-  | "with_pin" :: _ -> PWith_pin
-  | "reserve" :: _ :: _ -> POpen Slot
-  | ("commit" | "abort") :: _ :: _ -> PClose Slot
-  | "stage" :: _ :: _ -> POpen Stage
-  | "commit_stage" :: _ :: _ -> PClose Stage
-  | _ -> PNone
+let classify_pin path =
+  match last path with
+  | Some "pin" -> Pin_open
+  | Some "unpin" -> Pin_close
+  | Some "with_pin" -> With_pin
+  | None | Some _ -> Not_pin
 
 (* calls that park the calling domain (or sleep it): poison while holding
-   a pin or a reserved slot — a stalled reader stalls reclamation for
-   everyone, a stalled producer wedges the SPSC ring *)
+   a pin — a stalled reader stalls reclamation for everyone *)
 let classify_blocking path =
   match last_two path with
   | Some ("Unix", (("sleep" | "sleepf") as f)) -> Some ("Unix." ^ f)
@@ -574,8 +551,8 @@ let is_raise_name path =
   | None | Some _ -> false
 
 type pevent =
-  | Ev_open of pair * Location.t
-  | Ev_close of pair * Location.t
+  | Ev_open of Location.t
+  | Ev_close
   | Ev_block of string * Location.t
   | Ev_raise of Location.t
 
@@ -605,18 +582,18 @@ let collect_pevents (top : expression) =
       | Pexp_ident { txt; _ } -> (
         let path = flatten txt in
         if (not sr) && is_raise_name path then push (Ev_raise e.pexp_loc);
-        match classify_pair path with
-        | PWith_pin ->
-          push (Ev_open (Pin, e.pexp_loc));
+        match classify_pin path with
+        | With_pin ->
+          push (Ev_open e.pexp_loc);
           List.iter (fun (_, a) -> go ~sr a) args;
-          push (Ev_close (Pin, e.pexp_loc))
-        | POpen p ->
-          push (Ev_open (p, e.pexp_loc));
+          push Ev_close
+        | Pin_open ->
+          push (Ev_open e.pexp_loc);
           List.iter (fun (_, a) -> go ~sr a) args
-        | PClose p ->
-          push (Ev_close (p, e.pexp_loc));
+        | Pin_close ->
+          push Ev_close;
           List.iter (fun (_, a) -> go ~sr a) args
-        | PNone ->
+        | Not_pin ->
           (match classify_blocking path with
           | Some name -> push (Ev_block (name, e.pexp_loc))
           | None -> ());
@@ -670,53 +647,39 @@ let emit ctx ~rule ~loc msg =
 let owned ctx loc = Hashtbl.mem ctx.ownership loc.Location.loc_start.Lexing.pos_lnum
 
 (* R7/R9 over one binding's linearized events: walk the sequence tracking
-   per-pair depth; a blocking call at positive depth is R9, a raise at
-   positive pin depth (outside an exception-safe region — those raises
-   were already suppressed by the collector) is R7, and any depth left
-   open at the end of the binding is R7. Extra closes are legal: a
-   release-helper binding closes a pair its caller opened. *)
+   the pin depth; a blocking call at positive depth is R9, a raise at
+   positive depth (outside an exception-safe region — those raises were
+   already suppressed by the collector) is R7, and a depth left open at
+   the end of the binding is R7. Extra closes are legal: a release-helper
+   binding closes a pin its caller opened. *)
 let analyze_pevents ctx ~(binding_loc : Location.t) events =
   if ctx.conc && (rule_on ctx "R7" || rule_on ctx "R9") then begin
-    let depth = Array.make pair_count 0 in
-    let last_open = Array.make pair_count binding_loc in
-    let held () =
-      let h = ref [] in
-      List.iter
-        (fun p -> if depth.(pair_idx p) > 0 then h := pair_name p :: !h)
-        [ Stage; Slot; Pin ];
-      !h
-    in
+    let depth = ref 0 and last_open = ref binding_loc in
     List.iter
       (function
-        | Ev_open (p, loc) ->
-          depth.(pair_idx p) <- depth.(pair_idx p) + 1;
-          last_open.(pair_idx p) <- loc
-        | Ev_close (p, _) -> depth.(pair_idx p) <- max 0 (depth.(pair_idx p) - 1)
-        | Ev_block (name, loc) -> (
-          match held () with
-          | [] -> ()
-          | hs ->
+        | Ev_open loc ->
+          incr depth;
+          last_open := loc
+        | Ev_close -> depth := max 0 (!depth - 1)
+        | Ev_block (name, loc) ->
+          if !depth > 0 then
             emit ctx ~rule:"R9" ~loc
               (Printf.sprintf
-                 "blocking call %s while holding %s; release before blocking (a parked \
-                  holder stalls reclamation / wedges the ring)"
-                 name (String.concat ", " hs)))
+                 "blocking call %s while holding Snapshot_store.pin/unpin; release \
+                  before blocking (a parked holder stalls reclamation)"
+                 name)
         | Ev_raise loc ->
-          if depth.(pair_idx Pin) > 0 then
+          if !depth > 0 then
             emit ctx ~rule:"R7" ~loc
               "exception raised while a snapshot is pinned: the pin escapes if this \
                path is taken; use with_pin or Fun.protect ~finally:unpin")
       events;
-    List.iter
-      (fun p ->
-        let i = pair_idx p in
-        if depth.(i) > 0 then
-          emit ctx ~rule:"R7" ~loc:last_open.(i)
-            (Printf.sprintf
-               "%d %s open(s) without a matching close in this binding (the resource \
-                escapes; close on every path)"
-               depth.(i) (pair_name p)))
-      [ Pin; Slot; Stage ]
+    if !depth > 0 then
+      emit ctx ~rule:"R7" ~loc:!last_open
+        (Printf.sprintf
+           "%d Snapshot_store.pin/unpin open(s) without a matching close in this \
+            binding (the resource escapes; close on every path)"
+           !depth)
   end
 
 (* R6 over one type declaration: every mutable field in a

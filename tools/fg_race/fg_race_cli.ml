@@ -20,7 +20,7 @@ let seed_bug = ref false (* fg-lint: single-writer main *)
 
 let args =
   [
-    ("--protocol", Arg.Set_string protocol, "NAME snapshot|mailbox|ticket|all (default all)");
+    ("--protocol", Arg.Set_string protocol, "NAME snapshot|ticket|all (default all)");
     ( "--schedules",
       Arg.Set_int schedules,
       "N exhaustive-exploration budget per protocol (default 10000)" );

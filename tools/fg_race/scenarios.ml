@@ -1,14 +1,13 @@
-(* The three lock-free protocols, instantiated over traced atomics and
+(* The two lock-free protocols, instantiated over traced atomics and
    wrapped as fg_race scenarios with their safety invariants as per-step
    checks. Each scenario builds fresh protocol state per run (the
    scheduler re-executes from scratch once per schedule); scenario-level
-   bookkeeping (pinned generations, committed/popped logs, claim counts)
+   bookkeeping (pinned generations, claim counts)
    is plain mutable state written in the same indivisible step as the
    protocol operation it records, so the checks never observe a torn
    update of the bookkeeping itself. *)
 
 module Tstore = Fg_graph.Snapshot_store.Make (Traced_atomic)
-module Tmailbox = Fg_shard.Mailbox.Make (Traced_atomic)
 module Tticket = Fg_graph.Parallel.Ticket.Make (Traced_atomic)
 
 exception Seeded_failure
@@ -80,61 +79,6 @@ let snapshot_scenario ?(readers = 2) ?(publishes = 3) ?(unsafe = false) () : Sch
   in
   (Array.init (readers + 1) (fun i -> if i = 0 then writer else reader (i - 1)), check)
 
-(* ---- SPSC mailbox: two-phase produce, FIFO consume ----
-
-   One producer runs reserve/commit cycles (bounded retries when full),
-   one consumer pops. Invariants: occupancy stays within [0, capacity],
-   and the popped sequence is always a prefix of the committed sequence
-   (in order) — which fails if the tail is ever published before the slot
-   write lands, if a slot is reused before commit, or if FIFO order
-   breaks. *)
-
-let mailbox_scenario ?(capacity = 2) ?(items = 4) () : Sched.scenario =
- fun () ->
-  let mb = Tmailbox.create ~capacity () in
-  let committed = ref [] in
-  let popped = ref [] in
-  let producer () =
-    for v = 1 to items do
-      let rec try_push tries =
-        if tries > 0 then
-          match Tmailbox.reserve mb with
-          | None ->
-            (* full: burn a scheduling point so the consumer can drain,
-               then retry (bounded — a persistently full box drops) *)
-            ignore (Tmailbox.length mb : int);
-            try_push (tries - 1)
-          | Some slot ->
-            (* record before the publishing store: the check may run
-               between the tail store and this thread's next step *)
-            committed := v :: !committed;
-            Tmailbox.commit mb slot v
-      in
-      try_push 4
-    done
-  in
-  let consumer () =
-    for _ = 1 to 2 * items do
-      match Tmailbox.pop mb with
-      | Some v -> popped := v :: !popped
-      | None -> ()
-    done
-  in
-  let check () =
-    let len = Tmailbox.length mb in
-    if len < 0 || len > Tmailbox.capacity mb then
-      failwith (Printf.sprintf "occupancy %d outside [0,%d]" len (Tmailbox.capacity mb));
-    let rec is_prefix p c =
-      match (p, c) with
-      | [], _ -> true
-      | x :: p', y :: c' -> x = y && is_prefix p' c'
-      | _ :: _, [] -> false
-    in
-    if not (is_prefix (List.rev !popped) (List.rev !committed)) then
-      failwith "popped sequence is not a prefix of the committed sequence (FIFO/commit broken)"
-  in
-  ([| producer; consumer |], check)
-
 (* ---- parallel work tickets: claim-exactly-once ----
 
    [workers + 1] worker threads race for [workers] tickets (so exactly
@@ -197,6 +141,5 @@ type named = { name : string; scenario : Sched.scenario }
 let all () =
   [
     { name = "snapshot"; scenario = snapshot_scenario () };
-    { name = "mailbox"; scenario = mailbox_scenario () };
     { name = "ticket"; scenario = ticket_scenario () };
   ]

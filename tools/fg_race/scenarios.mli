@@ -5,9 +5,6 @@
 (** Epoch-reclaimed snapshot store over traced atomics. *)
 module Tstore : Fg_graph.Snapshot_store.S
 
-(** SPSC mailbox over traced atomics. *)
-module Tmailbox : Fg_shard.Mailbox.S
-
 (** Parallel-pool ticket gate over traced atomics. *)
 module Tticket : module type of Fg_graph.Parallel.Ticket.Make (Traced_atomic)
 
@@ -22,11 +19,6 @@ exception Seeded_failure
     reclaim-while-pinned bug, which exploration must catch. *)
 val snapshot_scenario : ?readers:int -> ?publishes:int -> ?unsafe:bool -> unit -> Sched.scenario
 
-(** One producer (two-phase reserve/commit), one consumer. Checks
-    occupancy bounds and that the popped sequence is always a prefix of
-    the committed sequence. *)
-val mailbox_scenario : ?capacity:int -> ?items:int -> unit -> Sched.scenario
-
 (** [workers + 1] workers racing for [workers] tickets plus the
     ticket-free caller, all dealing [items] indices. Checks every index is
     claimed at most once (exactly once at completion) and first-error-wins
@@ -35,5 +27,5 @@ val ticket_scenario : ?workers:int -> ?items:int -> unit -> Sched.scenario
 
 type named = { name : string; scenario : Sched.scenario }
 
-(** The three protocols at their default sizes. *)
+(** The two protocols at their default sizes. *)
 val all : unit -> named list
