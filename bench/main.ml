@@ -122,7 +122,7 @@ let delta_fixture n =
     Fg_core.Forgiving_graph.delete fg v
   done;
   let before = Fg_graph.Csr.of_adjacency (Fg_core.Forgiving_graph.graph fg) in
-  let d, _ = Fg_core.Forgiving_graph.delete_delta fg (n / 4) in
+  let d, _ = Fg_core.Forgiving_graph.apply fg (Deleted { victims = [ n / 4 ] }) in
   let after = Fg_core.Forgiving_graph.graph fg in
   (before, Fg_core.Delta.touched d, Fg_core.Delta.removed d, after)
 

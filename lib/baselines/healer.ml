@@ -39,8 +39,8 @@ let forgiving_graph_paranoid ?on_violation g0 =
   in
   {
     name = "fg"; (* same healer, same results — only the audit differs *)
-    insert = (fun v nbrs -> audit (Fg.insert_delta fg v nbrs));
-    delete = (fun v -> audit (fst (Fg.delete_delta fg v)));
+    insert = (fun v nbrs -> audit (fst (Fg.apply fg (Inserted { node = v; nbrs }))));
+    delete = (fun v -> audit (fst (Fg.apply fg (Deleted { victims = [ v ] }))));
     graph = (fun () -> Fg.graph fg);
     gprime = (fun () -> Fg.gprime fg);
     live_nodes = (fun () -> Fg.live_nodes fg);

@@ -1,6 +1,5 @@
 module Node_id = Fg_graph.Node_id
 module Adjacency = Fg_graph.Adjacency
-module P = Fg_graph.Persistent_graph
 
 type event =
   | Inserted of { node : Node_id.t; nbrs : Node_id.t list }
@@ -94,14 +93,6 @@ let apply ?gprime g t =
   | Some gp ->
     List.iter (fun v -> Adjacency.add_node gp v) t.nodes_added;
     List.iter (fun (e : Edge.t) -> Adjacency.add_edge gp e.a e.b) t.gp_added
-
-let apply_p p t =
-  let p = List.fold_left (fun p v -> P.add_node v p) p t.nodes_added in
-  let p = List.fold_left (fun p (e : Edge.t) -> P.add_edge e.a e.b p) p t.g_added in
-  let p =
-    List.fold_left (fun p (e : Edge.t) -> P.remove_edge e.a e.b p) p t.g_removed
-  in
-  List.fold_left (fun p v -> P.remove_node v p) p t.nodes_removed
 
 (* ---- derived views ---- *)
 

@@ -3,13 +3,12 @@
     Repairs in the paper "only add and remove edges, never nodes"
     (Theorem 1): structurally, every insert or delete-and-heal is an {e edge
     delta} plus bookkeeping. This module reifies that observation. The
-    engine ({!Rt}, via {!Forgiving_graph}'s [*_delta] entry points) builds
-    exactly one [Delta.t] per event at the image-maintenance choke point —
+    engine ({!Rt}, via {!Forgiving_graph.apply}) builds exactly one
+    [Delta.t] per event at the image-maintenance choke point —
     the refcounted [img_inc]/[img_dec] pair through which {e all} actual
     network mutations already flow — and downstream layers consume the
     stream instead of re-deriving state: {!Fg_graph.Csr.apply_delta}
-    refreshes snapshots incrementally, {!History} records deltas and
-    materialises snapshots by replay, {!Invariants.check_delta} verifies
+    refreshes snapshots incrementally, {!Invariants.check_delta} verifies
     each event in O(Δ), [Dist_engine.verify] cross-checks the distributed
     run per repair, and the delta is emitted as an [fg.delta] trace point.
 
@@ -68,11 +67,6 @@ val build : gen:int -> builder -> t
     Replaying the recorded stream from [G_0] reproduces
     [Forgiving_graph.graph]/[gprime] exactly (property-tested). *)
 val apply : ?gprime:Fg_graph.Adjacency.t -> Fg_graph.Adjacency.t -> t -> unit
-
-(** [apply_p p d] replays the actual-network part of [d] onto a persistent
-    graph, sharing structure with [p] — O(Δ log n) per event, the engine of
-    {!History}'s snapshot materialisation. *)
-val apply_p : Fg_graph.Persistent_graph.t -> t -> Fg_graph.Persistent_graph.t
 
 (** {1 Derived views} *)
 

@@ -129,7 +129,7 @@ let gprime_csr t = (publish t).gprime_csr
 
 (* ---- the delta choke point ----
 
-   Delta-returning entry points run inside [with_event]: a Delta.builder is
+   The recorded entry point [apply] runs inside [with_event]: a Delta.builder is
    installed as the Rt recorder (so refcounted image flips and vnode churn
    record themselves), the event body runs, and the finished delta advances
    the generation, feeds both snapshot caches, and is emitted as an
@@ -190,37 +190,6 @@ let run_event t event f =
 
 (* ---- mutations ---- *)
 
-let insert_checked t v nbrs =
-  if Adjacency.mem_node t.gprime v then
-    invalid_arg "Forgiving_graph.insert: node id was already seen";
-  let nbrs = List.sort_uniq Node_id.compare nbrs in
-  let check u =
-    if not (is_alive t u) then
-      invalid_arg "Forgiving_graph.insert: neighbour is not live"
-  in
-  List.iter check nbrs;
-  nbrs
-
-let insert_body t v nbrs b =
-  Adjacency.add_node t.gprime v;
-  Node_id.Tbl.replace t.alive v ();
-  Rt.add_image_node t.rt v;
-  (match b with None -> () | Some b -> Delta.record_node_add b v);
-  let connect u =
-    Adjacency.add_edge t.gprime v u;
-    (match b with None -> () | Some b -> Delta.record_gp_add b (Edge.make v u));
-    Rt.add_direct t.rt v u
-  in
-  List.iter connect nbrs
-
-let insert_delta t v nbrs =
-  let nbrs = insert_checked t v nbrs in
-  fst (with_event t (Delta.Inserted { node = v; nbrs }) (insert_body t v nbrs))
-
-let insert t v nbrs =
-  let nbrs = insert_checked t v nbrs in
-  run_event t (Delta.Inserted { node = v; nbrs }) (insert_body t v nbrs)
-
 let of_graph ?policy g =
   let t = create ?policy () in
   let nodes = List.sort Node_id.compare (Adjacency.nodes g) in
@@ -237,193 +206,180 @@ let of_graph ?policy g =
     g;
   t
 
-let delete_body t v b =
-  let t_heal = Fg_obs.Profile.start () in
-  let degree = Adjacency.degree t.gprime v in
-  let trace =
-    Fg_obs.Trace.with_span "fg.delete"
-      ~attrs:[ ("node", Fg_obs.Event.Int v); ("degree", Fg_obs.Event.Int degree) ]
-      (fun sp ->
-      Node_id.Tbl.remove t.alive v;
-      let marked = ref [] and fresh = ref [] in
-      let classify x =
-        let e = Edge.make v x in
-        if is_alive t x then begin
-          (* live neighbour: drop the direct edge, give x a leaf in the new RT *)
-          Rt.remove_direct t.rt v x;
-          fresh := Edge.Half.make x e :: !fresh
-        end
-        else begin
-          (* dead neighbour: v's attachment into that RT disappears *)
-          let mine = Edge.Half.make v e in
-          (match Rt.find_leaf t.rt mine with
-          | Some leaf -> marked := leaf :: !marked
-          | None -> assert false (* a leaf exists for every dead-neighbour edge *));
-          match Rt.find_helper t.rt mine with
-          | Some h -> marked := h :: !marked
-          | None -> ()
-        end
-      in
-      let t_collect = Fg_obs.Profile.start () in
-      Fg_obs.Trace.with_span "fg.collect" (fun _ ->
-          (* descending, so [remove_direct] pops each image edge off the tail
-             of [v]'s sorted row instead of shifting it (an O(deg^2) memmove
-             for hubs); the [List.rev]s restore exactly the order the
-             ascending walk used to produce, keeping heal byte-identical *)
-          Adjacency.iter_neighbors_rev classify t.gprime v);
-      Fg_obs.Profile.stamp Fg_obs.Profile.Collect t_collect;
-      let _root, trace =
-        Rt.heal t.rt ~events:(b <> None) ~marked:(List.rev !marked)
-          ~fresh:(List.rev !fresh)
-      in
-      let t_image = Fg_obs.Profile.start () in
-      Fg_obs.Trace.with_span "fg.image" (fun _ -> Rt.drop_image_node t.rt v);
-      Fg_obs.Profile.stamp Fg_obs.Profile.Image t_image;
-      (match b with None -> () | Some b -> Delta.record_node_remove b v);
-      if Fg_obs.Trace.enabled () || Fg_obs.Metrics.is_recording () then begin
-        Fg_obs.Trace.attr sp "anchors" (Fg_obs.Event.Int trace.Rt.ht_anchors);
-        Fg_obs.Trace.attr sp "notified" (Fg_obs.Event.Int trace.Rt.ht_notified);
-        Fg_obs.Metrics.incr "fg.deletions";
-        Fg_obs.Metrics.observe "fg.anchors" (float_of_int trace.Rt.ht_anchors);
-        Fg_obs.Metrics.observe "fg.notified" (float_of_int trace.Rt.ht_notified)
-      end;
-      trace)
+(* Reject bad input before anything mutates, and normalise: neighbour and
+   victim lists come back sorted and deduplicated. *)
+let validate t = function
+  | Delta.Inserted { node; nbrs } ->
+    if Adjacency.mem_node t.gprime node then
+      invalid_arg "Forgiving_graph.insert: node id was already seen";
+    let nbrs = List.sort_uniq Node_id.compare nbrs in
+    let check u =
+      if not (is_alive t u) then
+        invalid_arg "Forgiving_graph.insert: neighbour is not live"
+    in
+    List.iter check nbrs;
+    Delta.Inserted { node; nbrs }
+  | Delta.Deleted { victims } ->
+    let victims = List.sort_uniq Node_id.compare victims in
+    let check v =
+      if not (is_alive t v) then invalid_arg "Forgiving_graph.delete: node is not live"
+    in
+    List.iter check victims;
+    Delta.Deleted { victims }
+
+let insert_body t v nbrs b =
+  Adjacency.add_node t.gprime v;
+  Node_id.Tbl.replace t.alive v ();
+  Rt.add_image_node t.rt v;
+  (match b with None -> () | Some b -> Delta.record_node_add b v);
+  let connect u =
+    Adjacency.add_edge t.gprime v u;
+    (match b with None -> () | Some b -> Delta.record_gp_add b (Edge.make v u));
+    Rt.add_direct t.rt v u
   in
-  Fg_obs.Profile.stamp Fg_obs.Profile.Heal t_heal;
-  trace
+  List.iter connect nbrs
 
-let delete_delta t v =
-  if not (is_alive t v) then invalid_arg "Forgiving_graph.delete: node is not live";
-  with_event t (Delta.Deleted { victims = [ v ] }) (delete_body t v)
+(* One victim's repair input, both lists in ascending neighbour order; the
+   heal takes each one reversed, the order it has always used. *)
+type collected = { victim : Node_id.t; marked : Rt.vnode list; fresh : Edge.Half.t list }
 
-let delete_traced t v = snd (delete_delta t v)
-
-let delete t v =
-  if not (is_alive t v) then invalid_arg "Forgiving_graph.delete: node is not live";
-  run_event t (Delta.Deleted { victims = [ v ] }) (delete_body t v)
-
-(* Simultaneous deletion of a victim set. Victims are partitioned into
-   independent repair groups — two victims interact iff they are adjacent
-   in G' or their attachments live in the same RT — and each group heals
-   with one combined Strip/Merge. Unrelated victims therefore do not get
-   spliced into a common reconstruction tree (matching what the sequential
-   algorithm would produce for them). *)
-let delete_batch_checked t victims =
-  let victims = List.sort_uniq Node_id.compare victims in
-  List.iter
-    (fun v ->
-      if not (is_alive t v) then
-        invalid_arg "Forgiving_graph.delete_batch: node is not live")
-    victims;
-  victims
-
-let delete_batch_body t victims b =
-  let t_heal = Fg_obs.Profile.start () in
-  let traces =
-    Fg_obs.Trace.with_span "fg.delete_batch"
-      ~attrs:[ ("victims", Fg_obs.Event.Int (List.length victims)) ]
-      (fun sp ->
-  let dead = List.fold_left (fun s v -> Node_id.Set.add v s) Node_id.Set.empty victims in
-  List.iter (fun v -> Node_id.Tbl.remove t.alive v) victims;
-  (* per-victim marked vnodes and fresh half-edges *)
-  let marked = Node_id.Tbl.create 8 and fresh = Node_id.Tbl.create 8 in
-  let push tbl v x = Node_id.Tbl.replace tbl v (x :: Option.value (Node_id.Tbl.find_opt tbl v) ~default:[]) in
-  let classify v x =
+(* DeleteFix (A.3) classification of [v]'s G' neighbours. [dead] is the
+   whole victim set, already removed from [alive]. *)
+let collect t dead v =
+  let marked = ref [] and fresh = ref [] in
+  let classify x =
     let e = Edge.make v x in
     if Node_id.Set.mem x dead then begin
-      (* victim-victim edge: both were live until now, so it was a direct
+      (* co-victim edge: both were live until now, so it was a direct
          edge with no attachments; drop it from the image exactly once *)
       if v < x then Rt.remove_direct t.rt v x
     end
     else if is_alive t x then begin
+      (* live neighbour: drop the direct edge, give x a leaf in the new RT *)
       Rt.remove_direct t.rt v x;
-      push fresh v (Edge.Half.make x e)
+      fresh := Edge.Half.make x e :: !fresh
     end
     else begin
-      (* x died in an earlier round: v has a leaf (and maybe a helper) *)
+      (* x died earlier: v's attachment into that RT disappears *)
       let mine = Edge.Half.make v e in
       (match Rt.find_leaf t.rt mine with
-      | Some leaf -> push marked v leaf
-      | None -> assert false);
+      | Some leaf -> marked := leaf :: !marked
+      | None -> assert false (* a leaf exists for every dead-neighbour edge *));
       match Rt.find_helper t.rt mine with
-      | Some h -> push marked v h
+      | Some h -> marked := h :: !marked
       | None -> ()
     end
   in
-  let t_collect = Fg_obs.Profile.start () in
-  Fg_obs.Trace.with_span "fg.collect" (fun _ ->
-      (* descending for the same tail-pop reason as [delete_body]; the
-         per-victim lists come out ascending and are reversed in [collect] *)
-      List.iter (fun v -> Adjacency.iter_neighbors_rev (classify v) t.gprime v) victims);
-  Fg_obs.Profile.stamp Fg_obs.Profile.Collect t_collect;
-  (* group victims: G'-adjacency within the batch, or a shared RT *)
+  (* descending, so [remove_direct] pops each image edge off the tail of
+     [v]'s sorted row instead of shifting it (an O(deg^2) memmove for hubs) *)
+  Adjacency.iter_neighbors_rev classify t.gprime v;
+  { victim = v; marked = !marked; fresh = !fresh }
+
+(* Independent repair groups: two victims interact iff they are adjacent in
+   G' or their attachments live in the same RT. Groups come out in
+   ascending union-find representative order, members ascending. *)
+let group t dead cs =
   let uf = Fg_graph.Union_find.create () in
-  List.iter (fun v -> ignore (Fg_graph.Union_find.find uf v)) victims;
+  List.iter (fun c -> ignore (Fg_graph.Union_find.find uf c.victim)) cs;
   List.iter
-    (fun v ->
+    (fun c ->
       Adjacency.iter_neighbors
-        (fun x -> if Node_id.Set.mem x dead then ignore (Fg_graph.Union_find.union uf v x))
-        t.gprime v)
-    victims;
+        (fun x ->
+          if Node_id.Set.mem x dead then ignore (Fg_graph.Union_find.union uf c.victim x))
+        t.gprime c.victim)
+    cs;
   let root_owner = Hashtbl.create 8 in
   List.iter
-    (fun v ->
+    (fun c ->
       List.iter
         (fun (m : Rt.vnode) ->
           let r = (Rt.root_of m).Rt.id in
           match Hashtbl.find_opt root_owner r with
-          | None -> Hashtbl.replace root_owner r v
-          | Some u -> ignore (Fg_graph.Union_find.union uf u v))
-        (Option.value (Node_id.Tbl.find_opt marked v) ~default:[]))
-    victims;
+          | None -> Hashtbl.replace root_owner r c.victim
+          | Some u -> ignore (Fg_graph.Union_find.union uf u c.victim))
+        c.marked)
+    cs;
   let module Im = Map.Make (Int) in
-  let groups =
-    List.fold_left
-      (fun m v ->
-        let r = Fg_graph.Union_find.find uf v in
-        Im.update r (fun l -> Some (v :: Option.value l ~default:[])) m)
-      Im.empty victims
+  let add c m =
+    Im.update (Fg_graph.Union_find.find uf c.victim)
+      (fun l -> Some (c :: Option.value l ~default:[]))
+      m
   in
-  let heal_group members =
-    let collect tbl =
-      List.concat_map
-        (fun v -> List.rev (Option.value (Node_id.Tbl.find_opt tbl v) ~default:[]))
-        members
-    in
-    let _root, trace =
-      Rt.heal t.rt ~events:(b <> None) ~marked:(collect marked) ~fresh:(collect fresh)
-    in
-    trace
+  List.map snd (Im.bindings (List.fold_right add cs Im.empty))
+
+(* One combined Strip/Merge for a group; later victims' inputs go first. *)
+let heal_group t b members =
+  let input f = List.fold_left (fun acc c -> List.rev_append (f c) acc) [] members in
+  let _root, trace =
+    Rt.heal t.rt ~events:(b <> None)
+      ~marked:(input (fun c -> c.marked))
+      ~fresh:(input (fun c -> c.fresh))
   in
-  let traces = Im.fold (fun _ members acc -> heal_group members :: acc) groups [] in
-  let t_image = Fg_obs.Profile.start () in
-  Fg_obs.Trace.with_span "fg.image" (fun _ ->
-      List.iter (fun v -> Rt.drop_image_node t.rt v) victims);
-  Fg_obs.Profile.stamp Fg_obs.Profile.Image t_image;
-  (match b with
-  | None -> ()
-  | Some b ->
-    List.iter (fun v -> Delta.record_node_remove b v) victims;
-    Delta.record_groups b (Im.cardinal groups));
-  if Fg_obs.Trace.enabled () || Fg_obs.Metrics.is_recording () then begin
-    Fg_obs.Trace.attr sp "groups" (Fg_obs.Event.Int (Im.cardinal groups));
-    Fg_obs.Metrics.incr "fg.batch_deletions";
-    Fg_obs.Metrics.incr ~n:(List.length victims) "fg.deletions"
-  end;
-  List.rev traces)
+  trace
+
+(* Deletion of a victim set (a singleton for [delete]). Each independent
+   group heals with one Strip/Merge, so unrelated victims heal exactly as
+   if deleted one by one; a lone victim skips the grouping walks. *)
+let delete_victims t victims b =
+  let t_heal = Fg_obs.Profile.start () in
+  let traces =
+    Fg_obs.Trace.with_span "fg.delete"
+      ~attrs:[ ("victims", Fg_obs.Event.Int (List.length victims)) ]
+      (fun sp ->
+        let dead =
+          List.fold_left (fun s v -> Node_id.Set.add v s) Node_id.Set.empty victims
+        in
+        List.iter (fun v -> Node_id.Tbl.remove t.alive v) victims;
+        let t_collect = Fg_obs.Profile.start () in
+        let cs =
+          Fg_obs.Trace.with_span "fg.collect" (fun _ -> List.map (collect t dead) victims)
+        in
+        Fg_obs.Profile.stamp Fg_obs.Profile.Collect t_collect;
+        let groups = match cs with [ _ ] -> [ cs ] | _ -> group t dead cs in
+        let traces = List.map (heal_group t b) groups in
+        let t_image = Fg_obs.Profile.start () in
+        Fg_obs.Trace.with_span "fg.image" (fun _ ->
+            List.iter (Rt.drop_image_node t.rt) victims);
+        Fg_obs.Profile.stamp Fg_obs.Profile.Image t_image;
+        let n_groups = List.length groups in
+        (match b with
+        | None -> ()
+        | Some b ->
+          List.iter (Delta.record_node_remove b) victims;
+          Delta.record_groups b n_groups);
+        if Fg_obs.Trace.enabled () || Fg_obs.Metrics.is_recording () then begin
+          Fg_obs.Trace.attr sp "groups" (Fg_obs.Event.Int n_groups);
+          Fg_obs.Metrics.incr ~n:(List.length victims) "fg.deletions";
+          List.iter
+            (fun (tr : Rt.heal_trace) ->
+              Fg_obs.Metrics.observe "fg.anchors" (float_of_int tr.ht_anchors);
+              Fg_obs.Metrics.observe "fg.notified" (float_of_int tr.ht_notified))
+            traces
+        end;
+        traces)
   in
   Fg_obs.Profile.stamp Fg_obs.Profile.Heal t_heal;
   traces
 
-let delete_batch_delta t victims =
-  let victims = delete_batch_checked t victims in
-  with_event t (Delta.Deleted { victims }) (delete_batch_body t victims)
+let body t event b =
+  match event with
+  | Delta.Inserted { node; nbrs } ->
+    insert_body t node nbrs b;
+    []
+  | Delta.Deleted { victims } -> delete_victims t victims b
 
-let delete_batch_traced t victims = snd (delete_batch_delta t victims)
+let apply t event =
+  let event = validate t event in
+  with_event t event (body t event)
 
-let delete_batch t victims =
-  let victims = delete_batch_checked t victims in
-  run_event t (Delta.Deleted { victims }) (delete_batch_body t victims)
+let run t event =
+  let event = validate t event in
+  run_event t event (body t event)
+
+let insert t v nbrs = run t (Delta.Inserted { node = v; nbrs })
+let delete t v = run t (Delta.Deleted { victims = [ v ] })
+let delete_batch t victims = run t (Delta.Deleted { victims })
+let delete_delta t v = apply t (Delta.Deleted { victims = [ v ] })
 
 let graph t = Rt.image t.rt
 let gprime t = t.gprime

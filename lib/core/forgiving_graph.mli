@@ -34,48 +34,38 @@ val of_graph : ?policy:Rt.policy -> Fg_graph.Adjacency.t -> t
     collapsed. *)
 val insert : t -> Node_id.t -> Node_id.t list -> unit
 
-(** [insert_delta] is {!insert} returning the event's {!Delta.t}. Every
-    mutating entry point has a [*_delta] variant. The delta stream,
-    replayed from [G_0], reproduces [graph t]/[gprime t] exactly.
-
-    The plain entry points only build a delta when something consumes it —
-    a live churn ledger feeding {!publish} or an enabled trace sink;
-    otherwise the event runs with no recorder installed and the delta
-    machinery costs nothing. *)
-val insert_delta : t -> Node_id.t -> Node_id.t list -> Delta.t
-
 (** [delete t v] is an adversarial deletion followed by the healing repair.
     Raises [Invalid_argument] if [v] is not live. *)
 val delete : t -> Node_id.t -> unit
-
-(** [delete_delta t v] is {!delete} returning the event's delta and the
-    repair trace. *)
-val delete_delta : t -> Node_id.t -> Delta.t * Rt.heal_trace
-
-(** [delete_traced t v] is {!delete} returning the repair trace (fragment
-    and merge structure), which the distributed simulator converts into
-    message/round/bit costs (Lemma 4). *)
-val delete_traced : t -> Node_id.t -> Rt.heal_trace
 
 (** [delete_batch t victims] deletes a set of nodes {e simultaneously} —
     an extension beyond the paper's one-per-round adversary. Victims are
     partitioned into independent repair groups (two victims interact iff
     G'-adjacent or sharing a reconstruction tree) and each group heals
-    with one combined Strip/Merge, so unrelated failures stay independent
-    exactly as under sequential deletion. All Theorem 1 invariants hold
-    afterwards; grouped repair does no more work than the equivalent
-    deletion sequence. Duplicates are collapsed; raises
-    [Invalid_argument] if any victim is not live. *)
+    with one combined Strip/Merge, so unrelated failures heal exactly as
+    under sequential deletion. All Theorem 1 invariants hold afterwards;
+    grouped repair does no more work than the equivalent deletion
+    sequence. Duplicates are collapsed; raises [Invalid_argument] if any
+    victim is not live. [delete t v] is [delete_batch t [v]]. *)
 val delete_batch : t -> Node_id.t list -> unit
 
-(** [delete_batch_traced t victims] also returns one repair trace per
-    independent group. *)
-val delete_batch_traced : t -> Node_id.t list -> Rt.heal_trace list
+(** [apply t event] is the recorded form of the three entry points above:
+    [Inserted] is {!insert}, [Deleted] is {!delete_batch} (same checks,
+    same heal). It returns the event's {!Delta.t} — replayed from [G_0],
+    the delta stream reproduces [graph t]/[gprime t] exactly — and one
+    repair trace per independent group (none for an insertion; [groups]
+    in the delta is their count). The traces carry the fragment and merge
+    structure the distributed simulator converts into message/round/bit
+    costs (Lemma 4).
 
-(** [delete_batch_delta t victims] returns the single combined delta of the
-    batch (with [groups] = number of independent repairs) plus the per-group
-    traces. *)
-val delete_batch_delta : t -> Node_id.t list -> Delta.t * Rt.heal_trace list
+    The plain entry points only build a delta when something consumes it —
+    a live churn ledger feeding {!publish} or an enabled trace sink;
+    otherwise the event runs with no recorder installed and the delta
+    machinery costs nothing. *)
+val apply : t -> Delta.event -> Delta.t * Rt.heal_trace list
+
+(** [delete_delta t v] is [apply t (Deleted {victims = [v]})]. *)
+val delete_delta : t -> Node_id.t -> Delta.t * Rt.heal_trace list
 
 (** [graph t] is the current actual network (healed). The returned graph is
     live state — treat as read-only; copy before mutating. *)

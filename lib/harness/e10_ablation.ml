@@ -70,7 +70,7 @@ let cost_series () =
   for step = 0 to n / 2 do
     let v = step in
     let d = Fg_graph.Adjacency.degree (Fg.gprime fg) v in
-    let trace = Fg.delete_traced fg v in
+    let trace = List.hd (snd (Fg.apply fg (Deleted { victims = [ v ] }))) in
     let stats = Fg_sim.Protocol.replay ~trace ~n_seen:(Fg.num_seen fg) in
     if step mod 32 = 0 || step = n / 2 then
       rows :=

@@ -36,9 +36,11 @@ let one ~n ~batch_size =
       (Fg_graph.Rng.sample rng batch_size (Array.of_list (Adjacency.nodes g)))
   in
   let fg_batch = Fg.of_graph (Adjacency.copy g) in
-  let batch_traces = Fg.delete_batch_traced fg_batch victims in
+  let batch_traces = snd (Fg.apply fg_batch (Deleted { victims })) in
   let fg_seq = Fg.of_graph (Adjacency.copy g) in
-  let seq_traces = List.map (Fg.delete_traced fg_seq) victims in
+  let seq_traces =
+    List.concat_map (fun v -> snd (Fg.apply fg_seq (Deleted { victims = [ v ] }))) victims
+  in
   let bound = Fg.stretch_bound fg_batch in
   let bs = max_stretch fg_batch and ss = max_stretch fg_seq in
   {

@@ -54,7 +54,9 @@ let run ?(verbose = true) () =
      RT breaks into fragments which re-merge with fresh leaves via BT_v *)
   let fg78 = Fg_core.Forgiving_graph.of_graph (Fg_graph.Generators.complete 9) in
   Fg_core.Forgiving_graph.delete fg78 0;
-  let fig7_trace = Fg_core.Forgiving_graph.delete_traced fg78 1 in
+  let fig7_trace =
+    List.hd (snd (Fg_core.Forgiving_graph.apply fg78 (Deleted { victims = [ 1 ] })))
+  in
   let fig7_levels =
     List.map List.length fig7_trace.Fg_core.Rt.ht_levels
   in

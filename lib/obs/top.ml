@@ -48,7 +48,7 @@ let feed t e =
     Hdr.record r.r_hdr ns;
     r.r_total_ns <- r.r_total_ns + ns;
     (match name with
-    | "fg.delete" | "fg.delete_batch" -> Queue.push ts t.heal_ts
+    | "fg.delete" -> Queue.push ts t.heal_ts
     | _ -> ())
   | Event.Point { name = "fg.delta"; ts; _ } -> Queue.push ts t.delta_ts
   | Event.Point { name = "fg.stat"; attrs; _ } -> t.stat <- attrs

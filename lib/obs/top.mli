@@ -6,9 +6,9 @@
 
     - per-span-name {!Hdr} histograms of durations, for the
       phase-latency quantile table;
-    - sliding-window timestamps of heal events ([fg.delete] /
-      [fg.delete_batch] span ends) and delta points ([fg.delta]), for
-      heals/sec and deltas/sec;
+    - sliding-window timestamps of heal events ([fg.delete] span ends,
+      one per [delete] or [delete_batch]) and delta points ([fg.delta]),
+      for heals/sec and deltas/sec;
     - the latest [fg.stat] point's attributes (degree bound, stretch
       sample, GC counters), published by [fg_cli attack
       --metrics-every].

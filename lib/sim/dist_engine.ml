@@ -86,8 +86,8 @@ let delete t v =
         Fg_obs.Metrics.observe "dist.messages" (float_of_int stats.Netsim.messages);
         Fg_obs.Metrics.observe "dist.bits" (float_of_int stats.Netsim.total_bits)
       end;
-      let delta, trace = Fg.delete_delta t.fg v in
-      check_repair_class t trace;
+      let delta, traces = Fg.apply t.fg (Delta.Deleted { victims = [ v ] }) in
+      List.iter (check_repair_class t) traces;
       t.events <- Del { victim = v; touched = Delta.touched delta } :: t.events;
       stats)
 

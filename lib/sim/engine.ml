@@ -29,7 +29,8 @@ let delete t v =
   @@ fun sp ->
   let deleted_degree = Fg_graph.Adjacency.degree (Fg.gprime t.fg) v in
   let n_seen = Fg.num_seen t.fg in
-  let trace = Fg.delete_traced t.fg v in
+  (* a lone victim heals as exactly one group *)
+  let trace = List.hd (snd (Fg.apply t.fg (Fg_core.Delta.Deleted { victims = [ v ] }))) in
   let stats =
     Fg_obs.Trace.with_span "sim.replay" (fun _ -> Protocol.replay ~trace ~n_seen)
   in

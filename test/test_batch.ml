@@ -64,7 +64,7 @@ let test_batch_cheaper_than_sequence () =
   (* one repair over the union beats k repairs (in anchors and helpers) *)
   let g = Generators.complete 16 in
   let fg_batch = Fg.of_graph (Adjacency.copy g) in
-  let traces = Fg.delete_batch_traced fg_batch [ 0; 1; 2; 3 ] in
+  let _, traces = Fg.apply fg_batch (Deleted { victims = [ 0; 1; 2; 3 ] }) in
   let helpers_of (tr : Fg_core.Rt.heal_trace) =
     List.fold_left
       (fun acc evs ->
@@ -76,13 +76,8 @@ let test_batch_cheaper_than_sequence () =
   let seq_created =
     List.fold_left
       (fun acc v ->
-        let tr = Fg.delete_traced fg_seq v in
-        List.fold_left
-          (fun acc evs ->
-            List.fold_left
-              (fun a (e : Fg_core.Rt.merge_event) -> a + e.Fg_core.Rt.me_created)
-              acc evs)
-          acc tr.Fg_core.Rt.ht_levels)
+        let _, traces = Fg.apply fg_seq (Deleted { victims = [ v ] }) in
+        List.fold_left (fun a t -> a + helpers_of t) acc traces)
       0 [ 0; 1; 2; 3 ]
   in
   Alcotest.(check bool)
@@ -135,7 +130,50 @@ let prop_batch_invariants =
       done;
       !ok)
 
-let props = List.map QCheck_alcotest.to_alcotest [ prop_batch_invariants ]
+(* Independence oracle: when every victim of a batch is its own repair
+   group, the batch heal must leave exactly the graph that deleting the
+   victims one at a time, ascending, leaves on a twin engine. Batches that
+   do group are applied to the twin as the same batch, keeping the twins
+   in step for the next round. *)
+let prop_independent_batch_equals_sequence =
+  QCheck2.Test.make ~name:"independent batch = ascending one-by-one deletion" ~count:60
+    QCheck2.Gen.(tup4 (int_range 0 99999) bool (int_range 16 48) (int_range 2 5))
+    (fun (seed, er, n, k) ->
+      let rng = Rng.create seed in
+      let g =
+        if er then Generators.erdos_renyi rng n (4.0 /. float_of_int n)
+        else Generators.barabasi_albert rng n 2
+      in
+      let fg = Fg.of_graph (Adjacency.copy g) and twin = Fg.of_graph (Adjacency.copy g) in
+      let live () = Array.of_list (List.sort Node_id.compare (Fg.live_nodes fg)) in
+      (* pre-churn, identical on both engines *)
+      for i = 1 to n / 4 do
+        if i mod 3 = 0 then begin
+          let nbrs = Array.to_list (Rng.sample rng 2 (live ())) in
+          List.iter (fun e -> Fg.insert e (1000 + i) nbrs) [ fg; twin ]
+        end
+        else begin
+          let v = Rng.pick_array rng (live ()) in
+          List.iter (fun e -> Fg.delete e v) [ fg; twin ]
+        end
+      done;
+      let ok = ref true in
+      for _ = 1 to 3 do
+        let live = live () in
+        if Array.length live > k + 2 then begin
+          let victims = Array.to_list (Rng.sample rng k live) in
+          let d, traces = Fg.apply fg (Fg_core.Delta.Deleted { victims }) in
+          if d.groups <> List.length traces then ok := false;
+          if d.groups = k then List.iter (Fg.delete twin) (List.sort Node_id.compare victims)
+          else Fg.delete_batch twin victims;
+          if not (Adjacency.equal (Fg.graph fg) (Fg.graph twin)) then ok := false
+        end
+      done;
+      !ok)
+
+let props =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_batch_invariants; prop_independent_batch_equals_sequence ]
 
 let suite =
   [

@@ -413,7 +413,8 @@ let prop_apply_delta_twice_engine =
       let g0 = Generators.erdos_renyi rng n (4.0 /. float_of_int n) in
       let fg = Fg.of_graph g0 in
       let base = Csr.of_adjacency (Fg.graph fg) in
-      let d, _healed = Fg.delete_delta fg (Rng.pick rng (Fg.live_nodes fg)) in
+      let victims = [ Rng.pick rng (Fg.live_nodes fg) ] in
+      let d, _healed = Fg.apply fg (Deleted { victims }) in
       let touched = Fg_core.Delta.touched d and removed = Fg_core.Delta.removed d in
       let g = Fg.graph fg in
       let a = Csr.apply_delta base ~touched ~removed g in

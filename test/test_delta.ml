@@ -1,17 +1,14 @@
 (* Tests for the delta stream (PR 3): replaying the recorded deltas from
    G_0 must reproduce the engine's graphs exactly, the per-generation CSR
    caches must match from-scratch builds (including after external
-   mutation of the returned adjacency), History scrubbing must agree with
-   raw replay, and the O(delta) invariant audit must accept every honest
-   event and flag tampered ones. *)
+   mutation of the returned adjacency), and the O(delta) invariant audit
+   must accept every honest event and flag tampered ones. *)
 
 open Fg_graph
 module Fg = Fg_core.Forgiving_graph
 module Delta = Fg_core.Delta
-module History = Fg_core.History
 module Invariants = Fg_core.Invariants
 module Edge = Fg_core.Edge
-module P = Persistent_graph
 
 let make_g0 rng kind n =
   if kind then Generators.erdos_renyi rng n (4.0 /. float_of_int n)
@@ -41,6 +38,11 @@ let churn rng fg ~steps ~step =
   done;
   !applied
 
+(* the recorded form of a churn step *)
+let apply fg = function
+  | `Delete v -> fst (Fg.apply fg (Delta.Deleted { victims = [ v ] }))
+  | `Insert (v, nbrs) -> fst (Fg.apply fg (Delta.Inserted { node = v; nbrs }))
+
 let prop_replay_reproduces_engine =
   QCheck2.Test.make ~name:"delta replay from G_0 reproduces graph and gprime"
     ~count:30
@@ -51,35 +53,9 @@ let prop_replay_reproduces_engine =
       let fg = Fg.of_graph g0 in
       let g_replay = Adjacency.copy g0 in
       let gp_replay = Adjacency.copy g0 in
-      let step = function
-        | `Delete v -> Delta.apply ~gprime:gp_replay g_replay (fst (Fg.delete_delta fg v))
-        | `Insert (v, nbrs) ->
-          Delta.apply ~gprime:gp_replay g_replay (Fg.insert_delta fg v nbrs)
-      in
+      let step ev = Delta.apply ~gprime:gp_replay g_replay (apply fg ev) in
       ignore (churn rng fg ~steps:40 ~step);
       Adjacency.equal g_replay (Fg.graph fg) && Adjacency.equal gp_replay (Fg.gprime fg))
-
-let prop_history_snapshot_equals_replay =
-  QCheck2.Test.make ~name:"History.snapshot k = replayed delta prefix" ~count:15
-    QCheck2.Gen.(tup2 (int_range 0 99999) (int_range 8 24))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let g0 = make_g0 rng true n in
-      let h = History.create g0 in
-      let fg = History.fg h in
-      let step = function
-        | `Delete v -> History.delete h v
-        | `Insert (v, nbrs) -> History.insert h v nbrs
-      in
-      ignore (churn rng fg ~steps:25 ~step);
-      let len = History.length h in
-      (* forward scrub (cursor path) and a jumbled order (replay path) *)
-      let ks = List.init (len + 1) Fun.id in
-      let ks = ks @ [ len; 0; len / 2 ] in
-      List.for_all
-        (fun k -> P.equal (History.snapshot h k) (P.of_adjacency (History.replayed h k)))
-        ks
-      && Adjacency.equal (History.replayed h len) (Fg.graph fg))
 
 let prop_csr_cache_matches_rebuild =
   QCheck2.Test.make ~name:"Forgiving_graph.csr cache = Csr.of_adjacency" ~count:20
@@ -123,20 +99,6 @@ let test_cache_survives_external_mutation () =
   Alcotest.(check bool) "cache consistent after later heal" true
     (Csr.equal (Fg.csr fg) (Csr.of_adjacency (Fg.graph fg)))
 
-let test_history_copies_g0 () =
-  let g0 = Generators.ring 8 in
-  let h = History.create g0 in
-  (* mutating the caller's graph after [create] must not skew replays *)
-  Adjacency.remove_edge g0 0 1;
-  Adjacency.add_edge g0 2 6;
-  Alcotest.(check bool) "snapshot 0 still has edge 0-1" true
-    (P.mem_edge 0 1 (History.snapshot h 0));
-  Alcotest.(check bool) "snapshot 0 lacks edge 2-6" false
-    (P.mem_edge 2 6 (History.snapshot h 0));
-  History.delete h 3;
-  Alcotest.(check bool) "replay starts from the pristine G_0" true
-    (Adjacency.mem_edge (History.replayed h 0) 0 1)
-
 let prop_check_delta_accepts_honest_events =
   QCheck2.Test.make ~name:"check_delta accepts every honest event" ~count:20
     QCheck2.Gen.(tup2 (int_range 0 99999) (int_range 8 32))
@@ -145,16 +107,13 @@ let prop_check_delta_accepts_honest_events =
       let fg = Fg.of_graph (make_g0 rng false n) in
       let ok = ref true in
       let audit d = if Invariants.check_delta fg d <> [] then ok := false in
-      let step = function
-        | `Delete v -> audit (fst (Fg.delete_delta fg v))
-        | `Insert (v, nbrs) -> audit (Fg.insert_delta fg v nbrs)
-      in
+      let step ev = audit (apply fg ev) in
       ignore (churn rng fg ~steps:30 ~step);
       !ok)
 
 let test_check_delta_detects_tampering () =
   let fg = Fg.of_graph (Generators.ring 8) in
-  let d = Fg.insert_delta fg 100 [ 0; 4 ] in
+  let d = apply fg (`Insert (100, [ 0; 4 ])) in
   Alcotest.(check (list string)) "honest insert passes" [] (Invariants.check_delta fg d);
   let bogus_edge = Edge.make 998 999 in
   Alcotest.(check bool) "phantom g_added flagged" true
@@ -163,18 +122,18 @@ let test_check_delta_detects_tampering () =
     (Invariants.check_delta fg { d with nodes_removed = [ 3 ] } <> []);
   Alcotest.(check bool) "insert removing edges flagged" true
     (Invariants.check_delta fg { d with g_removed = [ Edge.make 0 1 ] } <> []);
-  let d2, _ = Fg.delete_delta fg 0 in
+  let d2 = apply fg (`Delete 0) in
   Alcotest.(check (list string)) "honest delete passes" [] (Invariants.check_delta fg d2);
   Alcotest.(check bool) "delete extending G' flagged" true
     (Invariants.check_delta fg { d2 with gp_added = [ bogus_edge ] } <> []);
   Alcotest.(check bool) "wrong victim list flagged" true
     (Invariants.check_delta fg { d2 with nodes_removed = [ 5 ] } <> [])
 
-let test_delete_batch_delta () =
+let test_batch_apply_delta () =
   let fg = Fg.of_graph (Generators.ring 12) in
   let g_replay = Adjacency.copy (Fg.graph fg) in
   let gp_replay = Adjacency.copy (Fg.gprime fg) in
-  let d, traces = Fg.delete_batch_delta fg [ 2; 7 ] in
+  let d, traces = Fg.apply fg (Delta.Deleted { victims = [ 2; 7 ] }) in
   Alcotest.(check int) "two independent repair groups" 2 (List.length traces);
   Alcotest.(check int) "groups recorded in the delta" 2 d.Delta.groups;
   Delta.apply ~gprime:gp_replay g_replay d;
@@ -189,7 +148,6 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_replay_reproduces_engine;
-      prop_history_snapshot_equals_replay;
       prop_csr_cache_matches_rebuild;
       prop_check_delta_accepts_honest_events;
     ]
@@ -198,9 +156,8 @@ let suite =
   [
     Alcotest.test_case "delta: cache survives external mutation" `Quick
       test_cache_survives_external_mutation;
-    Alcotest.test_case "delta: history copies G_0" `Quick test_history_copies_g0;
     Alcotest.test_case "delta: check_delta detects tampering" `Quick
       test_check_delta_detects_tampering;
-    Alcotest.test_case "delta: delete_batch delta" `Quick test_delete_batch_delta;
+    Alcotest.test_case "delta: delete_batch delta" `Quick test_batch_apply_delta;
   ]
   @ props

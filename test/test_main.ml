@@ -18,11 +18,9 @@ let () =
       ("hdr", Test_hdr.suite);
       ("openmetrics", Test_openmetrics.suite);
       ("top", Test_top.suite);
-      ("persistent", Test_persistent.suite);
       ("rt", Test_rt.suite);
       ("invariant-detection", Test_invariant_detection.suite);
       ("routing", Test_routing.suite);
-      ("history", Test_history.suite);
       ("delta", Test_delta.suite);
       ("batch", Test_batch.suite);
       ("harness", Test_harness.suite);

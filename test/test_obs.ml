@@ -167,6 +167,39 @@ let test_metrics_recording () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "metrics json: %s" e)
 
+(* a batch is one delete: one fg.delete span, per-group heal histograms,
+   fg.deletions counting victims *)
+let test_batch_is_one_delete_span () =
+  Metrics.reset Metrics.global;
+  Metrics.set_recording true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_recording false;
+      Metrics.reset Metrics.global)
+    (fun () ->
+      let events =
+        with_memory_sink (fun () ->
+            let fg = Fg_core.Forgiving_graph.of_graph (Fg_graph.Generators.ring 12) in
+            Fg_core.Forgiving_graph.delete_batch fg [ 2; 7 ])
+      in
+      let attrs_of = function
+        | Event.Span_start { name = "fg.delete"; attrs; _ }
+        | Event.Span_end { name = "fg.delete"; attrs; _ } ->
+          Some attrs
+        | _ -> None
+      in
+      match List.filter_map attrs_of events with
+      | [ start_attrs; end_attrs ] ->
+        Alcotest.(check bool) "victims = 2" true
+          (List.assoc_opt "victims" start_attrs = Some (Event.Int 2));
+        Alcotest.(check bool) "groups = 2" true
+          (List.assoc_opt "groups" end_attrs = Some (Event.Int 2));
+        Alcotest.(check int) "two fg.anchors observations" 2
+          (List.length (Metrics.samples Metrics.global "fg.anchors"));
+        Alcotest.(check int) "fg.deletions counts victims" 2
+          (Metrics.counter Metrics.global "fg.deletions")
+      | l -> Alcotest.failf "expected one fg.delete span, got %d events" (List.length l))
+
 (* ---- instrumentation agrees with Netsim.stats ---- *)
 
 let test_dist_span_matches_stats () =
@@ -279,6 +312,7 @@ let suite =
     Alcotest.test_case "no-op when disabled" `Quick test_noop_when_disabled;
     Alcotest.test_case "metrics gated off" `Quick test_metrics_gated_off;
     Alcotest.test_case "metrics recording" `Quick test_metrics_recording;
+    Alcotest.test_case "batch is one fg.delete span" `Quick test_batch_is_one_delete_span;
     Alcotest.test_case "dist.delete span = Netsim.stats" `Quick
       test_dist_span_matches_stats;
     Alcotest.test_case "delete emits strip/merge children" `Quick

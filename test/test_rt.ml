@@ -4,13 +4,17 @@
 open Fg_graph
 open Fg_core
 
+(* the repair trace of deleting [v] alone: one victim, one group *)
+let heal_trace fg v =
+  List.hd (snd (Forgiving_graph.apply fg (Delta.Deleted { victims = [ v ] })))
+
 let star_fg ?policy n =
   let fg = Forgiving_graph.of_graph ?policy (Generators.star n) in
   fg
 
 let test_trace_star () =
   let fg = star_fg 9 in
-  let trace = Forgiving_graph.delete_traced fg 0 in
+  let trace = heal_trace fg 0 in
   (* every satellite is its own fresh anchor *)
   Alcotest.(check int) "anchors" 8 trace.Rt.ht_anchors;
   Alcotest.(check int) "notified = live neighbours" 8 trace.Rt.ht_notified;
@@ -32,14 +36,14 @@ let test_trace_isolated () =
   Adjacency.add_node g 0;
   Adjacency.add_node g 1;
   let fg = Forgiving_graph.of_graph g in
-  let trace = Forgiving_graph.delete_traced fg 0 in
+  let trace = heal_trace fg 0 in
   Alcotest.(check int) "no anchors" 0 trace.Rt.ht_anchors;
   Alcotest.(check (list (list unit))) "no levels" []
     (List.map (List.map ignore) trace.Rt.ht_levels)
 
 let test_trace_degree_one () =
   let fg = Forgiving_graph.of_graph (Generators.path 2) in
-  let trace = Forgiving_graph.delete_traced fg 1 in
+  let trace = heal_trace fg 1 in
   Alcotest.(check int) "one anchor" 1 trace.Rt.ht_anchors;
   (* single fresh singleton: one self-merge event with no helper creation *)
   match trace.Rt.ht_levels with
@@ -55,7 +59,7 @@ let test_anchors_at_most_3d () =
   let fg = Forgiving_graph.of_graph g in
   for v = 0 to 23 do
     let d = Adjacency.degree (Forgiving_graph.gprime fg) v in
-    let trace = Forgiving_graph.delete_traced fg v in
+    let trace = heal_trace fg v in
     Alcotest.(check bool)
       (Printf.sprintf "delete %d: anchors %d <= 3*%d" v trace.Rt.ht_anchors d)
       true

@@ -66,12 +66,6 @@ let test_netsim_async_delays_rounds () =
   Alcotest.(check bool) "async at least as slow" true
     (async.Netsim.rounds >= sync.Netsim.rounds)
 
-let test_flood_async_still_reaches_all () =
-  let g = Generators.erdos_renyi (Rng.create 9) 40 0.12 in
-  (* flood is order-insensitive: first token adopts, duplicates refused *)
-  let r = Fg_sim.Flood.broadcast g ~root:0 in
-  Alcotest.(check int) "all reached" (Adjacency.num_nodes g) r.Fg_sim.Flood.reached
-
 (* ---- protocol replay ---- *)
 
 let test_ref_bits () =
@@ -187,8 +181,6 @@ let suite =
     Alcotest.test_case "netsim: divergence guard" `Quick test_netsim_divergence_guard;
     Alcotest.test_case "netsim: async delays rounds" `Quick
       test_netsim_async_delays_rounds;
-    Alcotest.test_case "flood: async-insensitive" `Quick
-      test_flood_async_still_reaches_all;
     Alcotest.test_case "protocol: ref_bits" `Quick test_ref_bits;
     Alcotest.test_case "engine: star deletion" `Quick test_engine_star;
     Alcotest.test_case "engine: isolated deletion is free" `Quick
