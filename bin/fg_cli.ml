@@ -276,8 +276,8 @@ let simulate family seed n deletions distributed trace metrics domains
   finish_dumps ();
   let costs = Fg_sim.Engine.costs eng in
   let summarize name field =
-    match Fg_metrics.Summary.of_ints_opt (List.map field costs) with
-    | Some s -> Format.printf "%s %a@." name Fg_metrics.Summary.pp s
+    match Fg_stats.Summary.of_ints_opt (List.map field costs) with
+    | Some s -> Format.printf "%s %a@." name Fg_stats.Summary.pp s
     | None -> ()
   in
   Format.printf "@.";

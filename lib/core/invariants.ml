@@ -296,109 +296,25 @@ let check_connectivity t =
       groups;
     !errs
 
-(* All-pairs over CSR snapshots of G and G': live sources are batched into
-   multi-source BFS sweeps ([Fg_graph.Bfs_kernel.ms_run], up to 63 sources
-   per pass over each snapshot), fanned across [?domains] domains. Batch
-   boundaries depend only on the live-node list, and per-source violation
-   lists are concatenated in source order, so the output is identical for
-   any domain count — and to the per-source implementation. *)
+(* All-pairs over one published (G, G') pair through [Stretch.exact]:
+   the report's max and witness name the worst pair, its [disconnected]
+   count the pairs connected in G' only. *)
 let check_stretch_bound ?domains t =
   let bound = Forgiving_graph.stretch_bound t in
-  let live = Array.of_list (List.sort Node_id.compare (Forgiving_graph.live_nodes t)) in
-  let n = Array.length live in
-  (* one publish: a consistent (G, G') pair of the current generation from
-     the snapshot store, not two independent cache reads *)
   let snap = Forgiving_graph.publish t in
-  let cg = snap.Forgiving_graph.csr in
-  let cgp = snap.Forgiving_graph.gprime_csr in
-  let idx csr = Array.map (fun v -> Option.value (Fg_graph.Csr.index csr v) ~default:(-1)) live in
-  let live_g = idx cg and live_gp = idx cgp in
-  let word = Fg_graph.Bfs_kernel.word_bits in
-  (* contiguous index ranges with at most [word] BFS-needing sources each;
-     a source needs BFS iff it exists in G' (G-side slots are a subset) *)
-  let batches =
-    let cuts = ref [] and lo = ref 0 and k = ref 0 in
-    for i = 0 to n - 1 do
-      if live_gp.(i) >= 0 then begin
-        if !k = word then begin
-          cuts := (!lo, i) :: !cuts;
-          lo := i;
-          k := 0
-        end;
-        incr k
-      end
-    done;
-    if !lo < n then cuts := (!lo, n) :: !cuts;
-    Array.of_list (List.rev !cuts)
+  let r =
+    Fg_metrics.Stretch.exact ?domains ~graph_csr:snap.Forgiving_graph.csr
+      ~reference_csr:snap.Forgiving_graph.gprime_csr ~graph:(Forgiving_graph.graph t)
+      ~reference:(Forgiving_graph.gprime t) (Forgiving_graph.live_nodes t)
   in
-  let per_batch =
-    Fg_graph.Parallel.map ?domains
-      ~init:(fun () ->
-        ( Fg_graph.Bfs_kernel.ms_create (),
-          Fg_graph.Bfs_kernel.ms_create (),
-          Array.make word 0,
-          Array.make word 0 ))
-      ~f:(fun (msg, msgp, bufg, bufgp) b ->
-        let lo, hi = batches.(b) in
-        let kgp = ref 0 and kg = ref 0 in
-        for i = lo to hi - 1 do
-          if live_gp.(i) >= 0 then begin
-            bufgp.(!kgp) <- live_gp.(i);
-            incr kgp;
-            if live_g.(i) >= 0 then begin
-              bufg.(!kg) <- live_g.(i);
-              incr kg
-            end
-          end
-        done;
-        if !kgp > 0 then
-          Fg_graph.Bfs_kernel.ms_run cgp msgp ~sources:bufgp ~off:0 ~len:!kgp;
-        if !kg > 0 then
-          Fg_graph.Bfs_kernel.ms_run cg msg ~sources:bufg ~off:0 ~len:!kg;
-        (* walk sources in index order, re-deriving each one's slots with
-           the same two counters the gather above used *)
-        let sgp = ref 0 and sg = ref 0 in
-        let acc = ref [] in
-        for i = lo to hi - 1 do
-          if live_gp.(i) >= 0 then begin
-            let x = live.(i) in
-            let slot_gp = !sgp in
-            incr sgp;
-            let slot_g =
-              if live_g.(i) >= 0 then begin
-                let k = !sg in
-                incr sg;
-                k
-              end
-              else -1
-            in
-            let errs = ref [] in
-            for j = i + 1 to n - 1 do
-              let y = live.(j) in
-              let d' =
-                if live_gp.(j) < 0 then -1
-                else Fg_graph.Bfs_kernel.ms_dist msgp ~slot:slot_gp ~v:live_gp.(j)
-              in
-              if d' >= 0 then begin
-                let d =
-                  if slot_g < 0 || live_g.(j) < 0 then -1
-                  else Fg_graph.Bfs_kernel.ms_dist msg ~slot:slot_g ~v:live_g.(j)
-                in
-                if d < 0 then
-                  errs := vf "stretch: (%d,%d) connected in G' only" x y :: !errs
-                else if d > bound * d' then
-                  errs :=
-                    vf "stretch: dist_G(%d,%d)=%d > %d * dist_G'=%d" x y d bound d'
-                    :: !errs
-              end
-            done;
-            acc := List.rev_append !errs !acc
-          end
-        done;
-        List.rev !acc)
-      (Array.length batches)
+  let over =
+    match r.witness with
+    | Some (x, y) when r.max_stretch > float_of_int bound ->
+      [ vf "stretch: (%d,%d) has stretch %.2f > %d" x y r.max_stretch bound ]
+    | _ -> []
   in
-  List.concat (Array.to_list per_batch)
+  if r.disconnected = 0 then over
+  else over @ [ vf "stretch: %d live pairs connected in G' only" r.disconnected ]
 
 (* ---- per-event delta audit ----
 

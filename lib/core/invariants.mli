@@ -46,12 +46,13 @@ val paper_degree_violations : Forgiving_graph.t -> violation list
 (** live nodes connected in G' are connected in G. *)
 val check_connectivity : Forgiving_graph.t -> violation list
 
-(** Theorem 1.2 on all live pairs (all-pairs BFS on the engine's cached CSR
-    snapshots ({!Forgiving_graph.csr}/[gprime_csr]) of both graphs, fanned
-    across [?domains] domains — default the process-wide
-    {!Fg_graph.Parallel} setting; violations are reported in the same
-    order for any domain count). Exposed separately from {!check}; see
-    also {!Fg_metrics.Stretch}. *)
+(** Theorem 1.2 on all live pairs: {!Fg_metrics.Stretch.exact} over one
+    {!Forgiving_graph.publish} pair, fanned across [?domains] domains
+    (default the process-wide {!Fg_graph.Parallel} setting; the result is
+    the same for any domain count). At most two violations: the witness
+    pair and its stretch when the maximum exceeds
+    {!Forgiving_graph.stretch_bound}, and the count of live pairs
+    connected in G' but not in G. Exposed separately from {!check}. *)
 val check_stretch_bound : ?domains:int -> Forgiving_graph.t -> violation list
 
 (** [check_delta t d] audits one state transition in O(Δ): after applying

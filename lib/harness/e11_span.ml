@@ -35,7 +35,7 @@ let one family n =
   let spans = spans_of h in
   let n_seen = Adjacency.num_nodes (h.Healer.gprime ()) in
   let bound = 2 * Exp_common.ceil_log2 n_seen in
-  match Fg_metrics.Summary.of_ints_opt spans with
+  match Fg_stats.Summary.of_ints_opt spans with
   | None ->
     {
       family;
@@ -50,11 +50,11 @@ let one family n =
     {
       family;
       n;
-      healing_edges = s.Fg_metrics.Summary.n;
-      max_span = int_of_float s.Fg_metrics.Summary.max;
-      mean_span = s.Fg_metrics.Summary.mean;
-      p95_span = s.Fg_metrics.Summary.p95;
-      span_bound_2log = s.Fg_metrics.Summary.max <= float_of_int bound;
+      healing_edges = s.Fg_stats.Summary.n;
+      max_span = int_of_float s.Fg_stats.Summary.max;
+      mean_span = s.Fg_stats.Summary.mean;
+      p95_span = s.Fg_stats.Summary.p95;
+      span_bound_2log = s.Fg_stats.Summary.max <= float_of_int bound;
     }
 
 let run ?(verbose = true) ?(csv = false) () =

@@ -1,5 +1,4 @@
 module Node_id = Fg_graph.Node_id
-module Bfs = Fg_graph.Bfs
 module Csr = Fg_graph.Csr
 module Bfs_kernel = Fg_graph.Bfs_kernel
 module Interval_map = Fg_graph.Interval_map
@@ -409,47 +408,6 @@ let exact_sweep ?domains ?graph_csr ?reference_csr ~graph ~reference nodes =
   let t_id = Array.of_list (List.sort Node_id.compare nodes) in
   run_kernel_sweep ?domains ?graph_csr ?reference_csr ~graph ~reference
     ~sources:t_id ~t_id ~from_of:(fun i -> i + 1) ()
-
-(* ---- hashtable oracle ----
-
-   The original implementation, kept verbatim as the reference for
-   cross-check tests of the CSR kernels. One [Bfs.distances] hashtable per
-   (source, graph) — slow, obviously correct. *)
-
-let exact_tbl ~graph ~reference nodes =
-  let sorted = List.sort Node_id.compare nodes in
-  let max_stretch = ref 0. in
-  let witness = ref None in
-  let sum = ref 0. in
-  let pairs = ref 0 in
-  let disconnected = ref 0 in
-  let from x =
-    let dg = Bfs.distances graph x in
-    let dr = Bfs.distances reference x in
-    let check y =
-      if y > x then
-        match (Node_id.Tbl.find_opt dg y, Node_id.Tbl.find_opt dr y) with
-        | Some d, Some d' when d' > 0 ->
-          let s = float_of_int d /. float_of_int d' in
-          incr pairs;
-          sum := !sum +. s;
-          if s > !max_stretch then begin
-            max_stretch := s;
-            witness := Some (x, y)
-          end
-        | None, Some _ -> incr disconnected
-        | _ -> ()
-    in
-    List.iter check sorted
-  in
-  List.iter from sorted;
-  {
-    max_stretch = !max_stretch;
-    witness = !witness;
-    mean_stretch = (if !pairs = 0 then 0. else !sum /. float_of_int !pairs);
-    pairs = !pairs;
-    disconnected = !disconnected;
-  }
 
 let pp_report ppf r =
   let pp_wit ppf = function

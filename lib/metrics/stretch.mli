@@ -94,14 +94,4 @@ val exact_sweep :
   Node_id.t list ->
   report
 
-(** The pre-CSR hashtable implementation of {!exact}, kept as the oracle
-    for cross-check tests. [max_stretch], [witness], [pairs] and
-    [disconnected] agree exactly with {!exact}; [mean_stretch] may differ
-    in the last bits (different float summation order). *)
-val exact_tbl :
-  graph:Fg_graph.Adjacency.t ->
-  reference:Fg_graph.Adjacency.t ->
-  Node_id.t list ->
-  report
-
 val pp_report : Format.formatter -> report -> unit

@@ -1,7 +1,7 @@
 (* Tests for the CSR snapshot kernel and the multicore metric pipeline:
    - CSR BFS distances = Bfs.distances (hashtable oracle) on random
      ER/BA/star graphs, including post-heal graphs with RT edges;
-   - Stretch.exact (CSR kernel) = Stretch.exact_tbl (pre-CSR oracle);
+   - Stretch.exact (CSR kernel) = Stretch_oracle.exact_tbl (pre-CSR oracle);
    - reports/violations byte-identical across domain counts 1/2/4;
    - Parallel.map determinism and clamping. *)
 
@@ -303,7 +303,7 @@ let prop_stretch_matches_oracle =
       let graph = Fg.graph fg and reference = Fg.gprime fg in
       let nodes = Fg.live_nodes fg in
       let fast = Stretch.exact ~graph ~reference nodes in
-      let oracle = Stretch.exact_tbl ~graph ~reference nodes in
+      let oracle = Stretch_oracle.exact_tbl ~graph ~reference nodes in
       reports_equal_modulo_mean fast oracle)
 
 let prop_stretch_matches_oracle_fragmented =
@@ -320,7 +320,7 @@ let prop_stretch_matches_oracle_fragmented =
       (* measured nodes: survivors only, as the harness does *)
       let nodes = Adjacency.nodes graph in
       let fast = Stretch.exact ~graph ~reference nodes in
-      let oracle = Stretch.exact_tbl ~graph ~reference nodes in
+      let oracle = Stretch_oracle.exact_tbl ~graph ~reference nodes in
       reports_equal_modulo_mean fast oracle)
 
 let test_stretch_isolated_source_skip () =
@@ -331,7 +331,7 @@ let test_stretch_isolated_source_skip () =
   Adjacency.remove_edge graph 0 1;
   Adjacency.remove_edge graph 5 0;
   let r = Stretch.exact ~graph ~reference (Adjacency.nodes reference) in
-  let oracle = Stretch.exact_tbl ~graph ~reference (Adjacency.nodes reference) in
+  let oracle = Stretch_oracle.exact_tbl ~graph ~reference (Adjacency.nodes reference) in
   Alcotest.(check int) "disconnected = oracle" oracle.Stretch.disconnected
     r.Stretch.disconnected;
   Alcotest.(check int) "5 broken pairs" 5 r.Stretch.disconnected;

@@ -101,6 +101,59 @@ let test_clean_structure_passes_all () =
   Alcotest.(check (list string)) "clean" [] (Invariants.check fg);
   Alcotest.(check (list string)) "stretch too" [] (Invariants.check_stretch_bound fg)
 
+(* A ring with one node healed away is a ring of survivors; cutting the
+   image edge (1,2) behind the engine leaves G connected but sends 1 to 2
+   the long way round: 14 hops against 1 in G'. *)
+let test_stretch_detects_long_detour () =
+  let fg = Forgiving_graph.of_graph (Generators.ring 16) in
+  Forgiving_graph.delete fg 0;
+  Alcotest.(check (list string)) "clean first" [] (Invariants.check_stretch_bound fg);
+  Adjacency.remove_edge (Forgiving_graph.graph fg) 1 2;
+  Alcotest.(check (list string)) "witness and stretch"
+    [ "stretch: (1,2) has stretch 14.00 > 4" ]
+    (Invariants.check_stretch_bound fg)
+
+let test_stretch_detects_gprime_only_pairs () =
+  let fg = healed_star 9 in
+  let g = Forgiving_graph.graph fg in
+  List.iter (fun v -> Adjacency.remove_edge g 1 v) (Adjacency.neighbors g 1);
+  let expected =
+    (Stretch_oracle.exact_tbl ~graph:g ~reference:(Forgiving_graph.gprime fg)
+       (Forgiving_graph.live_nodes fg))
+      .Fg_metrics.Stretch.disconnected
+  in
+  Alcotest.(check bool) "satellite 1 cut off" true (expected >= 7);
+  Alcotest.(check (list string)) "G'-only count"
+    [ Printf.sprintf "stretch: %d live pairs connected in G' only" expected ]
+    (Invariants.check_stretch_bound fg)
+
+(* churned ER, then random image edges removed behind the engine: the
+   check is empty exactly when the hashtable oracle sees max stretch
+   within the bound and no pair connected in G' only *)
+let prop_stretch_check_agrees_with_oracle =
+  QCheck2.Test.make ~name:"stretch check empty iff oracle within bound" ~count:40
+    QCheck2.Gen.(tup2 (int_range 0 9999) (int_range 10 40))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let fg = Forgiving_graph.of_graph (Generators.erdos_renyi rng n (4.0 /. float_of_int n)) in
+      for _ = 1 to n / 3 do
+        Forgiving_graph.delete fg (Rng.pick rng (Forgiving_graph.live_nodes fg))
+      done;
+      let g = Forgiving_graph.graph fg in
+      List.iter
+        (fun (u, v) -> if Rng.int rng 4 = 0 then Adjacency.remove_edge g u v)
+        (Adjacency.edges g);
+      let oracle =
+        Stretch_oracle.exact_tbl ~graph:g ~reference:(Forgiving_graph.gprime fg)
+          (Forgiving_graph.live_nodes fg)
+      in
+      let within =
+        oracle.Fg_metrics.Stretch.max_stretch
+        <= float_of_int (Forgiving_graph.stretch_bound fg)
+        && oracle.Fg_metrics.Stretch.disconnected = 0
+      in
+      within = (Invariants.check_stretch_bound fg = []))
+
 let test_dist_check_detects_asymmetry () =
   let g = Generators.star 9 in
   let st = Fg_sim.Dist_state.create () in
@@ -144,4 +197,9 @@ let suite =
       test_clean_structure_passes_all;
     Alcotest.test_case "dist check detects asymmetry" `Quick
       test_dist_check_detects_asymmetry;
+    Alcotest.test_case "stretch check names witness" `Quick
+      test_stretch_detects_long_detour;
+    Alcotest.test_case "stretch check counts G'-only pairs" `Quick
+      test_stretch_detects_gprime_only_pairs;
+    QCheck_alcotest.to_alcotest prop_stretch_check_agrees_with_oracle;
   ]

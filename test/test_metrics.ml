@@ -2,6 +2,7 @@
 
 open Fg_graph
 open Fg_metrics
+module Summary = Fg_stats.Summary
 
 let test_stretch_identity () =
   let g = Generators.ring 8 in

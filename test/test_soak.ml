@@ -57,8 +57,7 @@ let test_soak_insert_delete_interleave () =
   | [] -> ()
   | e :: _ -> Alcotest.fail e);
   (* Table-1 completeness still holds at scale *)
-  let t = Fg_sim.Table1.of_fg fg in
-  Alcotest.(check (list string)) "table1" [] (Fg_sim.Table1.check_complete t fg)
+  Alcotest.(check (list string)) "table1" [] (Test_table1.violations fg)
 
 let test_soak_sim_costs_bounded () =
   (* every repair in a 512-node ER half-kill stays within Lemma 4 *)
@@ -166,7 +165,7 @@ let prop_table1_complete =
         let live = Fg.live_nodes fg in
         if List.length live > 3 then Fg.delete fg (Rng.pick rng live)
       done;
-      Fg_sim.Table1.check_complete (Fg_sim.Table1.of_fg fg) fg = [])
+      Test_table1.violations fg = [])
 
 let props =
   List.map QCheck_alcotest.to_alcotest
